@@ -23,7 +23,8 @@
 # existing configured tree need no positional argument), else "build".
 # DHTLB_THREAD_MATRIX overrides the thread counts (space-separated;
 # the first entry is the reference all others are compared against).
-# Exit 0 on success, 1 on a determinism break, 2 when the binary is missing.
+# Exit 0 on success, 1 on a determinism break, 2 when strategy_comparison
+# or the dhtlb driver is missing.
 set -euo pipefail
 
 BUILD_DIR="${1:-${DHTLB_BUILD_DIR:-build}}"
@@ -33,12 +34,15 @@ TRIALS="${4:-3}"
 THREAD_MATRIX=(${DHTLB_THREAD_MATRIX:-1 2 8})
 REF="${THREAD_MATRIX[0]}"
 BIN="$BUILD_DIR/examples/strategy_comparison"
+DHTLB="$BUILD_DIR/examples/dhtlb"
 
-if [[ ! -x "$BIN" ]]; then
-  echo "check_determinism: $BIN not found — build the tree first" >&2
-  echo "  cmake --preset audit && cmake --build --preset audit -j" >&2
-  exit 2
-fi
+for exe in "$BIN" "$DHTLB"; do
+  if [[ ! -x "$exe" ]]; then
+    echo "check_determinism: $exe not found — build the tree first" >&2
+    echo "  cmake --preset audit && cmake --build --preset audit -j" >&2
+    exit 2
+  fi
+done
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -94,126 +98,104 @@ fi
 # Scenario-engine determinism: the churn-heavy parallel soak drives the
 # sharded tick path (parallel departure draws, cross-arc fold, sharded
 # consumption) hard enough that any ordering bug surfaces in its JSON.
-SCN_BIN="$BUILD_DIR/examples/dhtlb_scenario"
-SCN_FILE="$(dirname "$0")/../scenarios/parallel_churn_soak.scn"
+SCENARIOS="$(dirname "$0")/../scenarios"
+SCN_FILE="$SCENARIOS/parallel_churn_soak.scn"
 SCN_JSON="BENCH_scenario_parallel_churn_soak.json"
-if [[ -x "$SCN_BIN" && -f "$SCN_FILE" ]]; then
-  for t in "${THREAD_MATRIX[@]}"; do
-    mkdir -p "$workdir/scn$t"
-    echo "check_determinism: scenario telemetry (t$t)"
-    DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/scn$t" \
-      "$SCN_BIN" "$SCN_FILE" --quiet > /dev/null
-  done
-  for t in "${THREAD_MATRIX[@]:1}"; do
-    compare "$workdir/scn$REF/$SCN_JSON" "$workdir/scn$t/$SCN_JSON" \
-      "scenario JSON depends on thread count (t$REF vs t$t)"
-  done
-else
-  echo "check_determinism: note — $SCN_BIN not built, skipping scenario JSON check"
-fi
+for t in "${THREAD_MATRIX[@]}"; do
+  mkdir -p "$workdir/scn$t"
+  echo "check_determinism: scenario telemetry (t$t)"
+  DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/scn$t" \
+    "$DHTLB" scenario "$SCN_FILE" --quiet > /dev/null
+done
+for t in "${THREAD_MATRIX[@]:1}"; do
+  compare "$workdir/scn$REF/$SCN_JSON" "$workdir/scn$t/$SCN_JSON" \
+    "scenario JSON depends on thread count (t$REF vs t$t)"
+done
 
 # Streamed-provisioning determinism: the arrival phase adds a third
 # parallel fold (per-(tick, shard) key draws) between churn and
 # consumption; the streamed scenario's telemetry must be as
 # thread-inert as the preallocated one's.
-STREAM_FILE="$(dirname "$0")/../scenarios/streamed_overload.scn"
+STREAM_FILE="$SCENARIOS/streamed_overload.scn"
 STREAM_JSON="BENCH_scenario_streamed_overload.json"
-if [[ -x "$SCN_BIN" && -f "$STREAM_FILE" ]]; then
-  for t in "${THREAD_MATRIX[@]}"; do
-    mkdir -p "$workdir/stream$t"
-    echo "check_determinism: streamed scenario telemetry (t$t)"
-    DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/stream$t" \
-      "$SCN_BIN" "$STREAM_FILE" --quiet > /dev/null
-  done
-  for t in "${THREAD_MATRIX[@]:1}"; do
-    compare "$workdir/stream$REF/$STREAM_JSON" "$workdir/stream$t/$STREAM_JSON" \
-      "streamed scenario JSON depends on thread count (t$REF vs t$t)"
-  done
-else
-  echo "check_determinism: note — streamed scenario unavailable, skipping"
-fi
+for t in "${THREAD_MATRIX[@]}"; do
+  mkdir -p "$workdir/stream$t"
+  echo "check_determinism: streamed scenario telemetry (t$t)"
+  DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/stream$t" \
+    "$DHTLB" scenario "$STREAM_FILE" --quiet > /dev/null
+done
+for t in "${THREAD_MATRIX[@]:1}"; do
+  compare "$workdir/stream$REF/$STREAM_JSON" "$workdir/stream$t/$STREAM_JSON" \
+    "streamed scenario JSON depends on thread count (t$REF vs t$t)"
+done
 
 # Observability determinism: trace + metrics files from the same
 # scenario must byte-compare across the matrix, and attaching the sinks
 # must not change the telemetry JSON (observation invariance).
-if [[ -x "$SCN_BIN" && -f "$SCN_FILE" ]]; then
-  for t in "${THREAD_MATRIX[@]}"; do
-    mkdir -p "$workdir/obs$t"
-    echo "check_determinism: trace/metrics (t$t)"
-    DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/obs$t" \
-      "$SCN_BIN" "$SCN_FILE" \
-      --trace="$workdir/obs$t/trace.json" \
-      --metrics="$workdir/obs$t/metrics.jsonl" --quiet > /dev/null
+for t in "${THREAD_MATRIX[@]}"; do
+  mkdir -p "$workdir/obs$t"
+  echo "check_determinism: trace/metrics (t$t)"
+  DHTLB_THREADS="$t" DHTLB_BENCH_DIR="$workdir/obs$t" \
+    "$DHTLB" scenario "$SCN_FILE" \
+    --trace="$workdir/obs$t/trace.json" \
+    --metrics="$workdir/obs$t/metrics.jsonl" --quiet > /dev/null
+done
+for t in "${THREAD_MATRIX[@]:1}"; do
+  for artifact in trace.json metrics.jsonl; do
+    compare "$workdir/obs$REF/$artifact" "$workdir/obs$t/$artifact" \
+      "$artifact depends on thread count (t$REF vs t$t)"
   done
-  for t in "${THREAD_MATRIX[@]:1}"; do
-    for artifact in trace.json metrics.jsonl; do
-      compare "$workdir/obs$REF/$artifact" "$workdir/obs$t/$artifact" \
-        "$artifact depends on thread count (t$REF vs t$t)"
-    done
-  done
-  compare "$workdir/scn$REF/$SCN_JSON" "$workdir/obs$REF/$SCN_JSON" \
-    "attaching sinks changed the telemetry"
-else
-  echo "check_determinism: note — $SCN_BIN not built, skipping trace/metrics check"
-fi
+done
+compare "$workdir/scn$REF/$SCN_JSON" "$workdir/obs$REF/$SCN_JSON" \
+  "attaching sinks changed the telemetry"
 
-# Serving-plane determinism: dhtlb_serve telemetry must byte-compare
+# Serving-plane determinism: `dhtlb serve` telemetry must byte-compare
 # across the full (engine threads x reader threads) matrix — both are
 # pure execution knobs.  Deterministic mode zeroes the wall-derived
 # latency rows; every count and value stays exact.
-SERVE_BIN="$BUILD_DIR/examples/dhtlb_serve"
-SERVE_FILE="$(dirname "$0")/../scenarios/serve_churn_soak.scn"
+SERVE_FILE="$SCENARIOS/serve_churn_soak.scn"
 SERVE_JSON="BENCH_serve_serve_churn_soak.json"
-if [[ -x "$SERVE_BIN" && -f "$SERVE_FILE" ]]; then
-  READER_MATRIX=(${DHTLB_READER_MATRIX:-1 4 8})
-  ref_dir=""
-  for t in "${THREAD_MATRIX[@]}"; do
-    for r in "${READER_MATRIX[@]}"; do
-      mkdir -p "$workdir/serve_t${t}_r${r}"
-      echo "check_determinism: serve telemetry (t$t, r$r)"
-      DHTLB_THREADS="$t" DHTLB_BENCH_DETERMINISTIC=1 \
-        DHTLB_BENCH_DIR="$workdir/serve_t${t}_r${r}" \
-        "$SERVE_BIN" "$SERVE_FILE" --readers "$r" --quiet > /dev/null
-      if [[ -z "$ref_dir" ]]; then
-        ref_dir="$workdir/serve_t${t}_r${r}"
-      else
-        compare "$ref_dir/$SERVE_JSON" \
-                "$workdir/serve_t${t}_r${r}/$SERVE_JSON" \
-          "serve JSON depends on execution knobs (t${THREAD_MATRIX[0]}/r${READER_MATRIX[0]} vs t$t/r$r)"
-      fi
-    done
+READER_MATRIX=(${DHTLB_READER_MATRIX:-1 4 8})
+ref_dir=""
+for t in "${THREAD_MATRIX[@]}"; do
+  for r in "${READER_MATRIX[@]}"; do
+    mkdir -p "$workdir/serve_t${t}_r${r}"
+    echo "check_determinism: serve telemetry (t$t, r$r)"
+    DHTLB_THREADS="$t" DHTLB_BENCH_DETERMINISTIC=1 \
+      DHTLB_BENCH_DIR="$workdir/serve_t${t}_r${r}" \
+      "$DHTLB" serve "$SERVE_FILE" --readers "$r" --quiet > /dev/null
+    if [[ -z "$ref_dir" ]]; then
+      ref_dir="$workdir/serve_t${t}_r${r}"
+    else
+      compare "$ref_dir/$SERVE_JSON" \
+              "$workdir/serve_t${t}_r${r}/$SERVE_JSON" \
+        "serve JSON depends on execution knobs (t${THREAD_MATRIX[0]}/r${READER_MATRIX[0]} vs t$t/r$r)"
+    fi
   done
-else
-  echo "check_determinism: note — $SERVE_BIN not built, skipping serve check"
-fi
+done
 
 # Fuzzer determinism: the generator is a pure function of
 # (profile, seed) — two emit passes must produce byte-identical corpus
 # files — and a small audited batch must pass the runner's own
-# cross-thread telemetry comparison at 1 vs 4 workers (the runner exits
-# nonzero on any auditor failure or telemetry mismatch).
-FUZZ_BIN="$BUILD_DIR/examples/dhtlb_fuzz"
-if [[ -x "$FUZZ_BIN" ]]; then
-  for pass in a b; do
-    mkdir -p "$workdir/fuzz_emit_$pass"
-    echo "check_determinism: fuzz corpus emit (pass $pass)"
-    "$FUZZ_BIN" --profile mixed --seed "$DHTLB_SEED" --count 5 \
-      --emit-only --emit-dir "$workdir/fuzz_emit_$pass" --quiet > /dev/null
-  done
-  for scn in "$workdir"/fuzz_emit_a/*.scn; do
-    compare "$scn" "$workdir/fuzz_emit_b/$(basename "$scn")" \
-      "fuzz generator is not a pure function of (profile, seed)"
-  done
-  echo "check_determinism: fuzz batch (t1 vs t4, audited)"
-  if ! "$FUZZ_BIN" --profile mixed --seed "$DHTLB_SEED" --count 3 \
-      --audit --threads-matrix 1,4 --out-dir "$workdir/fuzz_run" \
-      --quiet > /dev/null; then
-    echo "check_determinism: FAIL — fuzz batch telemetry differs across threads (or audit failed); artifacts under $workdir/fuzz_run" >&2
-    ls "$workdir/fuzz_run" >&2 || true
-    fail=1
-  fi
-else
-  echo "check_determinism: note — $FUZZ_BIN not built, skipping fuzz check"
+# cross-thread telemetry comparison at 1 vs 4 workers (`dhtlb fuzz`
+# exits nonzero on any auditor failure or telemetry mismatch).
+for pass in a b; do
+  mkdir -p "$workdir/fuzz_emit_$pass"
+  echo "check_determinism: fuzz corpus emit (pass $pass)"
+  "$DHTLB" fuzz --profile mixed --seed "$DHTLB_SEED" --count 5 \
+    --emit-only --emit-dir "$workdir/fuzz_emit_$pass" --quiet > /dev/null
+done
+for scn in "$workdir"/fuzz_emit_a/*.scn; do
+  compare "$scn" "$workdir/fuzz_emit_b/$(basename "$scn")" \
+    "fuzz generator is not a pure function of (profile, seed)"
+done
+echo "check_determinism: fuzz batch (t1 vs t4, audited)"
+if ! "$DHTLB" fuzz --profile mixed --seed "$DHTLB_SEED" --count 3 \
+    --audit --threads-matrix 1,4 --out-dir "$workdir/fuzz_run" \
+    --quiet > /dev/null; then
+  echo "check_determinism: FAIL — fuzz batch telemetry differs across threads (or audit failed); artifacts under $workdir/fuzz_run" >&2
+  ls "$workdir/fuzz_run" >&2 || true
+  fail=1
 fi
 
 if [[ "$fail" -ne 0 ]]; then

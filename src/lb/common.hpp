@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sim/strategy.hpp"
@@ -19,22 +18,8 @@ namespace dhtlb::lb {
 /// §IV-B: "If a node has at least one Sybil, but no work, it has its
 /// Sybils quit the network."  Applied by every Sybil strategy at the
 /// start of its per-node decision.  Returns the number retired.
-///
-/// Aggressive-retirement knob (DHTLB_SYBIL_RETIRE=<cap>): under
-/// sustained overload the paper's rule never fires — nodes are never
-/// idle — so Sybil populations only ever grow toward maxSybils, and at
-/// million-node scale the vnode count (and its memory) grows with
-/// them.  With a nonzero cap, a node holding >= cap Sybils retires
-/// them even while loaded (its queued tasks are unaffected; only the
-/// surplus ring presence goes).  The default cap 0 disables the knob
-/// entirely, keeping the paper's semantics and every committed golden
-/// byte-identical.
 std::uint64_t retire_idle_sybils(sim::World& world, sim::NodeIndex idx,
                                  sim::StrategyCounters& counters);
-
-/// Test override for the DHTLB_SYBIL_RETIRE cap: a value forces the
-/// cap (bypassing the env cache), nullopt restores env behavior.
-void set_sybil_retire_cap_for_testing(std::optional<std::uint64_t> cap);
 
 /// True iff `idx` may create a Sybil this round: workload at or below
 /// the sybilThreshold and Sybil count below the cap (maxSybils /

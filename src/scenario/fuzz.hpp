@@ -15,7 +15,7 @@
 // and re-emitting the parsed form must reproduce the text byte for byte
 // (the generate → parse → re-emit gate in tests/scenario/fuzz_test.cpp).
 // The oracle for a *run* is external: the invariant auditor plus
-// cross-thread telemetry comparison, wired up by the dhtlb_fuzz runner.
+// cross-thread telemetry comparison, wired up by `dhtlb fuzz`.
 //
 // When a run fails, shrink_script() minimizes the script against a
 // caller-supplied failure predicate: first ddmin over whole event

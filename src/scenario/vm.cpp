@@ -110,8 +110,7 @@ void apply_sim_event(const Event& e, sim::Engine& engine, Rng& rng,
   switch (e.kind) {
     case Event::Kind::kJoin:
       // Placement IDs come from the VM's own stream, so a scripted join
-      // perturbs neither the engine's churn streams nor the world's
-      // construction RNG.
+      // never perturbs the engine's churn streams.
       for (std::uint64_t i = 0; i < e.count; ++i) {
         if (!world.join_from_pool(rng)) break;  // waiting pool exhausted
         ++counters.joins;

@@ -53,7 +53,7 @@ KeyStream::KeyStream(Traffic traffic, const TrafficConfig& config,
       break;
     case Traffic::kZipf: {
       const std::uint64_t n = config.key_universe;
-      DHTLB_CHECK(n > 0 && n <= (1ULL << 22),
+      DHTLB_CHECK(n > 0 && n <= kMaxKeyUniverse,
                   "traffic: zipf key_universe " << n
                                                 << " outside [1, 2^22]");
       // Harmonic weights 1/(r+1), folded into a normalized CDF with

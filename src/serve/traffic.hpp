@@ -1,6 +1,6 @@
 // Key-traffic models for the serving plane: which keys do users look up?
 //
-// Three streams, selectable per run (dhtlb_serve --traffic):
+// Three streams, selectable per run (dhtlb serve --traffic):
 //   uniform — every draw a uniformly random ring point; the null model.
 //   zipf    — draws from a fixed universe of N keys with harmonic
 //             (Zipf s=1) popularity: key rank r is drawn with
@@ -43,9 +43,12 @@ std::optional<Traffic> parse_traffic(std::string_view name);
 /// The canonical CLI / telemetry name of a traffic model.
 std::string_view traffic_name(Traffic traffic);
 
+/// Largest zipf key universe: bounds the precomputed CDF + key table.
+inline constexpr std::uint64_t kMaxKeyUniverse = 1ULL << 22;
+
 struct TrafficConfig {
-  /// Zipf universe size (distinct keys).  Bounded so the precomputed
-  /// CDF + key table stay cheap: freeze() DHTLB_CHECKs <= 2^22.
+  /// Zipf universe size (distinct keys), in [1, kMaxKeyUniverse];
+  /// KeyStream's constructor DHTLB_CHECKs the range.
   std::uint64_t key_universe = 100000;
   /// Hotspot: probability a draw lands inside the hot arc.
   double hotspot_fraction = 0.9;

@@ -226,7 +226,7 @@ void InvariantAuditor::check_workload_cache(AuditReport& report) const {
       });
     }
   }
-  // The consume() fast path walks cached arena slots; a stale entry
+  // The consume_local() fast path walks cached arena slots; a stale entry
   // would silently consume from the wrong arc.
   if (!world_.vnode_cache_consistent()) {
     fail(report, "workload-cache", [](std::ostream& os) {

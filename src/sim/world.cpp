@@ -29,8 +29,7 @@ using IdSet = std::unordered_set<Uint160, IdHash>;
 
 }  // namespace
 
-World::World(const Params& params, support::Rng& rng)
-    : params_(params), rng_(rng) {
+World::World(const Params& params, support::Rng& rng) : params_(params) {
   params_.validate();
 
   // Physical population: N alive + N waiting (§IV-A: the waiting pool
@@ -39,7 +38,7 @@ World::World(const Params& params, support::Rng& rng)
   physicals_.resize(2 * n);
   auto roll_strength = [&]() -> unsigned {
     if (!params_.heterogeneous) return 1;
-    return static_cast<unsigned>(rng_.range(1, params_.max_sybils));
+    return static_cast<unsigned>(rng.range(1, params_.max_sybils));
   };
   for (std::size_t i = 0; i < physicals_.size(); ++i) {
     physicals_[i].strength = roll_strength();
@@ -68,9 +67,9 @@ World::World(const Params& params, support::Rng& rng)
   IdSet placed;
   placed.reserve(n);
   for (const NodeIndex idx : alive_) {
-    Uint160 id = hashing::Sha1::hash_u64(rng_());
+    Uint160 id = hashing::Sha1::hash_u64(rng());
     while (!placed.insert(id).second) {
-      id = hashing::Sha1::hash_u64(rng_());
+      id = hashing::Sha1::hash_u64(rng());
     }
     const Slot slot = ring_.bulk_append(id, idx, /*is_sybil=*/false);
     physicals_[idx].vnode_ids.push_back(id);
@@ -103,7 +102,7 @@ World::World(const Params& params, support::Rng& rng)
   // indexed by slot serves as the bucket counter.
   std::vector<std::uint32_t> bucket_sizes(n, 0);
   for (std::uint64_t t = 0; t < params_.total_tasks; ++t) {
-    const Uint160 key = hashing::Sha1::hash_u64(rng_());
+    const Uint160 key = hashing::Sha1::hash_u64(rng());
     const Slot slot = ring_.slot_at(ring_.cover(key));
     keys.push_back(key);
     owners.push_back(slot);
@@ -361,10 +360,6 @@ bool World::depart(NodeIndex idx) {
   return true;
 }
 
-std::optional<NodeIndex> World::join_from_pool() {
-  return join_from_pool(rng_);
-}
-
 std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   if (waiting_.empty()) return std::nullopt;
   const NodeIndex idx = waiting_.back();
@@ -375,12 +370,6 @@ std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   alive_.push_back(idx);
   insert_vnode(idx, fresh_ring_id(id_rng), /*is_sybil=*/false);
   return idx;
-}
-
-std::uint64_t World::consume(NodeIndex idx, std::uint64_t budget) {
-  const std::uint64_t consumed = consume_local(idx, budget, rng_);
-  remaining_ -= consumed;
-  return consumed;
 }
 
 std::uint64_t World::consume_local(NodeIndex idx, std::uint64_t budget,

@@ -74,6 +74,7 @@ class World {
   /// arcs here; streamed mode starts the ring empty — the engine's
   /// sim::TaskStream delivers each tick's arrivals through inject_task().
   /// Node placement consumes the identical RNG sequence either way.
+  /// `rng` is read only here: the World keeps no reference to it.
   World(const Params& params, support::Rng& rng);
 
   /// Lazy, allocation-free walk over up to k neighbor arcs of a vnode —
@@ -276,23 +277,18 @@ class World {
   /// returns false) when it owns the only vnodes in the ring.
   bool depart(NodeIndex idx);
 
-  /// Pops one waiting node and joins it at a fresh SHA-1 ID; returns its
-  /// index, or nullopt if the pool is empty.  The joiner immediately
-  /// acquires the keys in its arc (§IV-A).  The no-argument form draws
-  /// the ID from the world's construction RNG; the overload draws from
-  /// the caller's stream instead, so engine churn and scripted scenario
-  /// joins each own their placement randomness.
-  std::optional<NodeIndex> join_from_pool();
+  /// Pops one waiting node and joins it at a fresh SHA-1 ID drawn from
+  /// `id_rng`; returns its index, or nullopt if the pool is empty.  The
+  /// joiner immediately acquires the keys in its arc (§IV-A).  Callers
+  /// pass their own stream, so engine churn and scripted scenario joins
+  /// each own their placement randomness.
   std::optional<NodeIndex> join_from_pool(support::Rng& id_rng);
 
   // --- mutation: work -----------------------------------------------------
 
   /// Consumes up to `budget` tasks from `idx`'s vnodes (most-loaded vnode
-  /// first).  Returns tasks actually consumed.
-  std::uint64_t consume(NodeIndex idx, std::uint64_t budget);
-
-  /// The shard-parallel form of consume(): identical task selection, but
-  /// the uniform picks come from the caller's per-shard RNG stream and
+  /// first); returns tasks actually consumed.  The uniform picks come
+  /// from the caller's RNG stream (per shard in the tick engine), and
   /// the global remaining-task counter is NOT debited — the tick engine
   /// folds per-shard consumed totals and settles the counter once at the
   /// barrier via debit_remaining().  Thread-compatible: safe to call
@@ -329,7 +325,7 @@ class World {
   bool check_invariants() const;
 
   /// True iff the per-physical-node cached arena slots agree with
-  /// vnode_ids and the ring (the consume() fast path relies on them).
+  /// vnode_ids and the ring (the consume_local() fast path relies on them).
   /// O(ring log ring); for the auditor and tests.
   bool vnode_cache_consistent() const;
 
@@ -353,8 +349,7 @@ class World {
   ArcView view_at(const FlatRing::Cursor& cursor) const;
 
   /// Generates a fresh SHA-1 node/task ID not colliding with the ring,
-  /// drawing from the given stream (or the world's construction RNG).
-  Uint160 fresh_ring_id() { return fresh_ring_id(rng_); }
+  /// drawing from the given stream.
   Uint160 fresh_ring_id(support::Rng& rng);
 
   /// Removes one vnode, merging its tasks into its successor.  The vnode
@@ -367,13 +362,12 @@ class World {
                              bool is_sybil);
 
   Params params_;
-  support::Rng& rng_;
   FlatRing ring_;
   std::vector<PhysicalNode> physicals_;
   // Cached ring slot for each entry of physicals_[i].vnode_ids, same
   // order.  FlatRing slots stay stable across other vnodes'
   // insert/erase (the arena recycles but never moves live slots), so
-  // consume() can reach a node's TaskStores without an O(log ring)
+  // consume_local() can reach a node's TaskStores without an O(log ring)
   // search per vnode per tick.  Maintained at every vnode_ids mutation
   // site; audited by vnode_cache_consistent().
   std::vector<std::vector<Slot>> vnode_cache_;

@@ -1,10 +1,29 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace dhtlb::support {
+
+namespace {
+
+/// Base-10 unsigned 64-bit parse.  strtoull alone accepts a sign ("-1"
+/// wraps to 2^64-1), leading whitespace, and saturates on overflow, so
+/// those are rejected here.
+std::optional<std::uint64_t> parse_u64(const std::string& raw) {
+  if (raw.empty() || raw.front() < '0' || raw.front() > '9') {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return v;
+}
+
+}  // namespace
 
 void CliParser::add_flag(const std::string& name,
                          const std::string& value_name,
@@ -70,12 +89,9 @@ std::string CliParser::get(const std::string& name) const {
 
 std::uint64_t CliParser::get_u64(const std::string& name) const {
   const std::string raw = get(name);
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0') {
-    throw std::invalid_argument("--" + name + ": not an integer: " + raw);
-  }
-  return v;
+  const auto v = parse_u64(raw);
+  if (!v) throw std::invalid_argument("--" + name + ": not an integer: " + raw);
+  return *v;
 }
 
 double CliParser::get_double(const std::string& name) const {
@@ -103,12 +119,9 @@ std::vector<std::uint64_t> CliParser::get_u64_list(
   std::string item;
   while (std::getline(in, item, ',')) {
     if (item.empty()) continue;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-    if (end == item.c_str() || *end != '\0') {
-      throw std::invalid_argument("--" + name + ": bad list item: " + item);
-    }
-    out.push_back(v);
+    const auto v = parse_u64(item);
+    if (!v) throw std::invalid_argument("--" + name + ": bad list item: " + item);
+    out.push_back(*v);
   }
   return out;
 }

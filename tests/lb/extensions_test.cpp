@@ -7,6 +7,7 @@
 #include "lb/chosen_id.hpp"
 #include "lb/factory.hpp"
 #include "lb/strength_aware.hpp"
+#include "sim/consume.hpp"
 #include "sim/engine.hpp"
 #include "support/ring_math.hpp"
 
@@ -80,7 +81,7 @@ TEST(MedianTaskKey, EmptyVnodeHasNoMedian) {
   p.total_tasks = 100;
   World w(p, rng);
   const auto idx = w.alive_indices()[0];
-  (void)w.consume(idx, w.workload(idx));
+  (void)sim::testing::consume(w, idx, w.workload(idx), rng);
   EXPECT_FALSE(
       w.median_task_key(w.physical(idx).vnode_ids[0]).has_value());
 }
@@ -195,7 +196,7 @@ TEST(StrengthAwareTest, StrongIdleNodeTakesProportionalShare) {
     }
   }
   ASSERT_TRUE(strong.has_value());
-  (void)w.consume(*strong, w.workload(*strong));
+  (void)sim::testing::consume(w, *strong, w.workload(*strong), rng);
 
   StrengthAware strat;
   sim::StrategyCounters c;

@@ -9,7 +9,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -171,10 +173,11 @@ TEST(FuzzShrinker, ReturnsInputWhenPredicateRejectsIt) {
   EXPECT_EQ(emit_script(same), emit_script(script));
 }
 
-// End-to-end campaign oracle: run the real dhtlb_fuzz binary with the
+// End-to-end campaign oracle: run the real `dhtlb fuzz` with the
 // test-only world corruptor armed (DHTLB_FUZZ_CORRUPT).  The batch must
-// FAIL, and the minimized repro it writes must be <= 5 blocks — the
-// acceptance bar for "an injected invariant bug is caught and shrunk".
+// FAIL, the minimized repro it writes must be <= 5 blocks — the
+// acceptance bar for "an injected invariant bug is caught and shrunk" —
+// and its single-run repro line must replay through `dhtlb scenario`.
 TEST(FuzzCampaign, InjectedCorruptionIsCaughtAndShrunk) {
   namespace fs = std::filesystem;
   const fs::path out_dir =
@@ -183,8 +186,8 @@ TEST(FuzzCampaign, InjectedCorruptionIsCaughtAndShrunk) {
   fs::create_directories(out_dir);
 
   const std::string cmd =
-      std::string("DHTLB_FUZZ_CORRUPT=3 '") + DHTLB_FUZZ_BIN +
-      "' --profile mixed --seed 99 --count 1 --audit --threads-matrix 1"
+      std::string("DHTLB_FUZZ_CORRUPT=3 '") + DHTLB_BIN +
+      "' fuzz --profile mixed --seed 99 --count 1 --audit --threads-matrix 1"
       " --quiet --out-dir '" +
       out_dir.string() + "' > /dev/null 2>&1";
   const int rc = std::system(cmd.c_str());
@@ -203,6 +206,13 @@ TEST(FuzzCampaign, InjectedCorruptionIsCaughtAndShrunk) {
   const Script script = Script::load(minimized.string());
   EXPECT_LE(script.blocks.size(), 5u)
       << "shrinker left " << script.blocks.size() << " blocks";
+  std::ifstream repro_file(repro);
+  std::ostringstream repro_text;
+  repro_text << repro_file.rdbuf();
+  EXPECT_NE(repro_text.str().find("repro (single): dhtlb scenario " +
+                                  minimized.string() + " --audit\n"),
+            std::string::npos)
+      << repro_text.str();
   fs::remove_all(out_dir);
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "lb/factory.hpp"
+#include "sim/consume.hpp"
 #include "sim/engine.hpp"
 #include "sim/world.hpp"
 #include "sim/world_corruptor.hpp"
@@ -50,10 +51,10 @@ TEST(InvariantAuditorTest, CleanWorldStaysCleanThroughMutation) {
   params.churn_rate = 0.05;
   World world(params, rng);
   for (int round = 0; round < 20; ++round) {
-    world.join_from_pool();
+    world.join_from_pool(rng);
     if (world.alive_count() > 1) world.depart(world.alive_indices().front());
     for (const NodeIndex idx : world.alive_indices()) {
-      world.consume(idx, 1);
+      testing::consume(world, idx, 1, rng);
     }
   }
   const AuditReport report = InvariantAuditor(world).run();

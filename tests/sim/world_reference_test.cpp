@@ -130,7 +130,7 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
       }
       case 3: {  // join from the waiting pool
         const std::size_t before = world.vnode_count();
-        const auto joined = world.join_from_pool();
+        const auto joined = world.join_from_pool(world_rng);
         if (joined && world.vnode_count() == before + 1) {
           ref.add_vnode(world.physical(*joined).vnode_ids.front(),
                         *joined);

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "sim/consume.hpp"
 #include "support/ring_math.hpp"
 #include "support/rng.hpp"
 
@@ -96,14 +97,14 @@ TEST(World, ConsumeRespectsBudgetAndWorkload) {
   const NodeIndex idx = w.alive_indices().front();
   const std::uint64_t before = w.workload(idx);
   ASSERT_GT(before, 0u);
-  EXPECT_EQ(w.consume(idx, 1), 1u);
+  EXPECT_EQ(testing::consume(w, idx, 1, rng), 1u);
   EXPECT_EQ(w.workload(idx), before - 1);
   EXPECT_EQ(w.remaining_tasks(), 999u);
   // Budget larger than workload consumes exactly the workload.
   const std::uint64_t rest = w.workload(idx);
-  EXPECT_EQ(w.consume(idx, rest + 100), rest);
+  EXPECT_EQ(testing::consume(w, idx, rest + 100, rng), rest);
   EXPECT_EQ(w.workload(idx), 0u);
-  EXPECT_EQ(w.consume(idx, 5), 0u) << "idle node consumes nothing";
+  EXPECT_EQ(testing::consume(w, idx, 5, rng), 0u) << "idle node consumes nothing";
   EXPECT_TRUE(w.check_invariants());
 }
 
@@ -191,7 +192,7 @@ TEST(World, JoinFromPoolAcquiresArcWork) {
   Rng rng(14);
   World w(small_params(20, 10'000), rng);
   const std::uint64_t total = w.remaining_tasks();
-  const auto joined = w.join_from_pool();
+  const auto joined = w.join_from_pool(rng);
   ASSERT_TRUE(joined.has_value());
   EXPECT_TRUE(w.physical(*joined).alive);
   EXPECT_EQ(w.alive_count(), 21u);
@@ -203,8 +204,8 @@ TEST(World, JoinFromPoolAcquiresArcWork) {
 TEST(World, JoinFromEmptyPoolFails) {
   Rng rng(15);
   World w(small_params(3, 100), rng);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(w.join_from_pool().has_value());
-  EXPECT_FALSE(w.join_from_pool().has_value());
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(w.join_from_pool(rng).has_value());
+  EXPECT_FALSE(w.join_from_pool(rng).has_value());
 }
 
 TEST(World, SuccessorsOfWalkClockwise) {
@@ -317,10 +318,10 @@ TEST(World, RandomOperationSequencePreservesInvariants) {
         if (w.alive_count() > 1) (void)w.depart(idx);
         break;
       case 3:
-        (void)w.join_from_pool();
+        (void)w.join_from_pool(rng);
         break;
       case 4:
-        consumed_total += w.consume(idx, 1 + op_rng.below(5));
+        consumed_total += testing::consume(w, idx, 1 + op_rng.below(5), rng);
         break;
     }
     if (step % 50 == 0) {

@@ -87,6 +87,20 @@ TEST(Cli, TypeErrorsThrow) {
   EXPECT_THROW((void)cli.get_double("churn"), std::invalid_argument);
 }
 
+// strtoull alone would wrap "-1" to 2^64-1 and saturate on overflow.
+TEST(Cli, SignedAndOverflowingIntegersThrow) {
+  for (const char* bad : {"-1", "+5", " 7", "18446744073709551616"}) {
+    CliParser cli = sample_parser();
+    ASSERT_TRUE(parse(cli, {"--nodes", bad, "--snapshots", bad}));
+    EXPECT_THROW((void)cli.get_u64("nodes"), std::invalid_argument) << bad;
+    EXPECT_THROW((void)cli.get_u64_list("snapshots"), std::invalid_argument)
+        << bad;
+  }
+  CliParser max = sample_parser();
+  ASSERT_TRUE(parse(max, {"--nodes", "18446744073709551615"}));
+  EXPECT_EQ(max.get_u64("nodes"), 18446744073709551615u);
+}
+
 TEST(Cli, UnregisteredAccessThrows) {
   CliParser cli = sample_parser();
   ASSERT_TRUE(parse(cli, {}));
