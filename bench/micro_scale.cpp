@@ -1,7 +1,7 @@
 // Micro-benchmarks for the flat-ring data layer at the scales the
 // roadmap targets: world construction (bulk load + two-pass task
 // assignment), successor-arc walks, point lookups (cover), and churn
-// (join/depart cycles driving the staged-merge machinery).  These are
+// (join/depart cycles driving block inserts, erases and splits).  These are
 // the throughput numbers the scaling work is judged by — see the
 // "Performance trajectory" section of EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
@@ -83,8 +83,8 @@ BENCHMARK(BM_ScaleCover)
     ->Unit(benchmark::kNanosecond);
 
 void BM_ScaleChurn(benchmark::State& state) {
-  // One depart + one join per iteration: staged inserts, tombstoned
-  // erases, and the amortized merge passes that fold them away.
+  // One depart + one join per iteration: an erase and an insert, each
+  // moving entries of one index block.
   const auto nodes = static_cast<std::size_t>(state.range(0));
   Rng rng(42);
   World w(make_params(nodes, 2 * nodes), rng);

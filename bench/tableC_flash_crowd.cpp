@@ -58,7 +58,7 @@ FlashResult run_flash(const char* strategy, std::size_t burst,
 
 int main() {
   bench::Session session("tableC_flash_crowd", "Flash crowd (SS VII / SS I)",
-                         "late joiners absorbing an in-flight job", 5);
+                         "late joiners absorbing an in-flight job", 40);
   const std::size_t trials = session.trials();
 
   support::TextTable table({"strategy", "burst", "at tick",

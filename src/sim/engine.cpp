@@ -161,19 +161,27 @@ void Engine::arrival_step() {
   tick_arrived_ = 0;
   if (!stream_ || stream_->count_at(tick_) == 0) return;
   // Key draws are embarrassingly parallel — each (tick, shard) cell owns
-  // its RNG stream and its own staging vector.  Insertion splits and
-  // workload bumps can land on any arc, so the fold below applies the
-  // staged keys sequentially in fixed shard order, exactly like the
-  // churn folds.
+  // its RNG stream and its own staging vectors.  Each shard also
+  // resolves its keys' covering vnodes here: the ring's membership is
+  // fixed from the end of the join fold until decide(), so these
+  // concurrent const searches see exactly the ring the fold appends to.
+  // The appends and workload bumps can land on any arc, so the fold
+  // below applies them sequentially in fixed shard order, exactly like
+  // the churn folds.
   for_each_shard([&](std::size_t s) {
     ShardScratch& shard = shards_[s];
     shard.arrivals.clear();
     stream_->draw_shard(tick_, s, shard.arrivals);
+    shard.arrival_slots.clear();
+    shard.arrival_slots.reserve(shard.arrivals.size());
+    for (const TaskKey& key : shard.arrivals) {
+      shard.arrival_slots.push_back(world_.covering_slot(key));
+    }
   });
   std::uint64_t arrived = 0;
-  for (auto& shard : shards_) {
-    for (const TaskKey& key : shard.arrivals) {
-      world_.inject_task(key);
+  for (const auto& shard : shards_) {
+    for (std::size_t i = 0; i < shard.arrivals.size(); ++i) {
+      world_.inject_task(shard.arrivals[i], shard.arrival_slots[i]);
     }
     arrived += shard.arrivals.size();
   }

@@ -7,7 +7,8 @@
 //   1. churn       — each alive node leaves w.p. churn_rate; each waiting
 //                    node joins w.p. churn_rate (§IV-A)
 //   2. arrivals    — streamed provisioning only: this tick's TaskStream
-//                    keys are drawn per shard and folded into the ring
+//                    keys are drawn and their covering vnodes resolved
+//                    per shard, then folded into the ring
 //   3. decision    — strategy->decide() when t % decision_period == 0
 //   4. consumption — each alive node consumes work_per_tick tasks
 //   5. snapshot    — if t was requested (tick 0 = initial state)
@@ -206,6 +207,7 @@ class Engine {
     std::vector<NodeIndex> members;     // this tick's shard partition
     std::vector<NodeIndex> departures;  // churn draw results, pre-fold
     std::vector<TaskKey> arrivals;      // streamed task keys, pre-fold
+    std::vector<Slot> arrival_slots;    // covering slot of each arrival
     std::uint64_t consumed = 0;         // consumption total, pre-fold
     std::uint64_t join_draws = 0;       // Binomial successes, pre-fold
   };

@@ -1,185 +1,112 @@
 #include "sim/flat_ring.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dhtlb::sim {
 namespace {
 
-// Integer sqrt (floor) for the merge threshold; n is a vnode count, so
-// a few Newton steps from a 64-bit seed always converge.
-std::size_t isqrt(std::size_t n) {
-  if (n < 2) return n;
-  std::size_t x = n;
-  std::size_t y = (x + 1) / 2;
-  while (y < x) {
-    x = y;
-    y = (x + n / x) / 2;
-  }
-  return x;
-}
-
-// Below this the staging memmoves are cheaper than any merge pass.
-constexpr std::size_t kMinBatch = 32;
-
-bool entry_id_less(const FlatRing::Entry& e, const Uint160& id) {
-  return e.id < id;
-}
-bool id_entry_less(const Uint160& id, const FlatRing::Entry& e) {
-  return id < e.id;
-}
+// Bulk loads fill blocks to 3/4, so the first inserts after construction
+// land in free room instead of splitting every block at once.
+constexpr std::size_t kBulkFill = FlatRing::kBlockCapacity * 3 / 4;
 
 }  // namespace
 
-// --- membership -----------------------------------------------------------
+void FlatRing::check_limits(std::size_t blocks, std::size_t slots) {
+  DHTLB_CHECK(blocks <= kMaxBlocks,
+              "FlatRing: " << blocks << " blocks exceed the block ceiling");
+  DHTLB_CHECK(slots <= kMaxSlots,
+              "FlatRing: slot arena exhausted at " << slots << " slots");
+}
+
+// --- searches -------------------------------------------------------------
+
+std::size_t FlatRing::block_lower_bound(const Uint160& id) const {
+  const std::size_t n = maxes_.size();
+  if (n == 0) return 0;
+  // SHA-1 ids are uniform, so block ≈ id / 2^160 · n; n < 2^32 keeps the
+  // top-32-bit product in 64 bits.  From that guess, gallop out by
+  // doubling steps, then binary-search the bracket [below, above].
+  const std::size_t guess =
+      static_cast<std::size_t>(((id.high64() >> 32) * n) >> 32);
+  std::size_t below = 0;
+  std::size_t above = n;
+  if (maxes_[guess] < id) {
+    below = guess + 1;
+    for (std::size_t step = 1; below + step - 1 < n; step *= 2) {
+      const std::size_t probe = below + step - 1;
+      if (!(maxes_[probe] < id)) {
+        above = probe;
+        break;
+      }
+      below = probe + 1;
+    }
+  } else {
+    above = guess;
+    for (std::size_t step = 1; above >= step; step *= 2) {
+      const std::size_t probe = above - step;
+      if (maxes_[probe] < id) {
+        below = probe + 1;
+        break;
+      }
+      above = probe;
+    }
+  }
+  const Uint160* first = maxes_.data();
+  return static_cast<std::size_t>(
+      std::lower_bound(first + below, first + above, id) - first);
+}
+
+std::uint32_t FlatRing::entry_lower_bound(std::size_t b,
+                                          const Uint160& id) const {
+  const Entry* block = order_[b];
+  const std::uint32_t size = sizes_[b];
+  // Interpolate between the previous block's max and this one's, then
+  // scan: the ids are uniform, so the guess is a few entries off, and a
+  // scan never leaves the block.
+  const std::uint64_t lo = b == 0 ? 0 : maxes_[b - 1].high64();
+  const std::uint64_t hi = maxes_[b].high64();
+  const std::uint64_t p = id.high64();
+  std::uint32_t i = size;  // in [0, size]: the ratio is <= 1
+  if (p < hi) {
+    i = p <= lo ? 0
+                : static_cast<std::uint32_t>(static_cast<double>(p - lo) /
+                                             static_cast<double>(hi - lo) *
+                                             size);
+  }
+  while (i > 0 && !(block[i - 1].id < id)) --i;
+  while (i < size && block[i].id < id) ++i;
+  return i;
+}
 
 bool FlatRing::contains(const Uint160& id) const {
-  const std::size_t m = main_lower_bound(id);
-  if (m < entries_.size() && entries_[m].id == id &&
-      entries_[m].slot != kNoSlot) {
-    return true;
-  }
-  const std::size_t s = stage_lower_bound(id);
-  return s < staging_.size() && staging_[s].id == id;
-}
-
-// --- bounds ---------------------------------------------------------------
-
-std::size_t FlatRing::main_lower_bound(const Uint160& id) const {
-  const std::size_t n = entries_.size();
-  // Interpolation-guided search: ids are SHA-1 outputs, i.e. uniform on
-  // the ring, so the rank of `id` is ≈ high64/2^64 · n with O(√n) error.
-  // Gallop out from that estimate, then finish with a binary search over
-  // the (cache-resident) bracket.  Tombstones keep their id and stay in
-  // sorted position, so the estimate is unaffected by pending erases.
-  // Falls back to plain lower_bound when the array is too small for the
-  // estimate to beat log2(n) probes.
-  if (n < 64) {
-    return static_cast<std::size_t>(
-        std::lower_bound(entries_.begin(), entries_.end(), id, entry_id_less) -
-        entries_.begin());
-  }
-  // rank/2^32 · n via the top 32 bits — stays in 64-bit arithmetic.
-  const std::size_t est = static_cast<std::size_t>(
-      ((id.high64() >> 32) * static_cast<std::uint64_t>(n)) >> 32);  // < n
-  std::size_t lo, hi;
-  std::size_t step = 16;
-  if (entries_[est].id < id) {
-    lo = est + 1;
-    hi = est + 1;
-    while (hi < n && entries_[hi].id < id) {
-      lo = hi + 1;
-      hi += step;
-      step *= 2;
-    }
-    if (hi > n) hi = n;
-  } else {
-    hi = est;
-    lo = hi >= step ? hi - step : 0;
-    while (lo > 0 && !(entries_[lo].id < id)) {
-      hi = lo;
-      step *= 2;
-      lo = lo >= step ? lo - step : 0;
-    }
-  }
-  return static_cast<std::size_t>(
-      std::lower_bound(entries_.begin() + static_cast<std::ptrdiff_t>(lo),
-                       entries_.begin() + static_cast<std::ptrdiff_t>(hi), id,
-                       entry_id_less) -
-      entries_.begin());
-}
-
-std::size_t FlatRing::main_upper_bound(const Uint160& id) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(entries_.begin(), entries_.end(), id, id_entry_less) -
-      entries_.begin());
-}
-
-std::size_t FlatRing::stage_lower_bound(const Uint160& id) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(staging_.begin(), staging_.end(), id, entry_id_less) -
-      staging_.begin());
-}
-
-std::size_t FlatRing::stage_upper_bound(const Uint160& id) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(staging_.begin(), staging_.end(), id, id_entry_less) -
-      staging_.begin());
+  const std::size_t b = block_lower_bound(id);
+  if (b == order_.size()) return false;
+  return order_[b][entry_lower_bound(b, id)].id == id;
 }
 
 // --- cursors --------------------------------------------------------------
 
 FlatRing::Cursor FlatRing::find(const Uint160& id) const {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::find during bulk load");
-  const std::size_t m = main_lower_bound(id);
-  if (m < entries_.size() && entries_[m].id == id &&
-      entries_[m].slot != kNoSlot) {
-    Cursor c;
-    c.main = m;
-    c.stage = stage_lower_bound(id);
-    c.on_stage = false;
-    return c;
-  }
-  const std::size_t s = stage_lower_bound(id);
-  DHTLB_CHECK(s < staging_.size() && staging_[s].id == id,
-              "FlatRing::find: id " << id << " not in ring");
-  Cursor c;
-  c.main = m;
-  c.stage = s;
-  c.on_stage = true;
+  DHTLB_CHECK(!bulk_loading(), "FlatRing::find during bulk load");
+  const std::size_t b = block_lower_bound(id);
+  DHTLB_CHECK(b < order_.size(), "FlatRing::find: id " << id << " not in ring");
+  const Cursor c{static_cast<std::uint32_t>(b), entry_lower_bound(b, id)};
+  DHTLB_CHECK(id_at(c) == id, "FlatRing::find: id " << id << " not in ring");
   return c;
 }
 
 FlatRing::Cursor FlatRing::cover(const Uint160& point) const {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::cover during bulk load");
+  DHTLB_CHECK(!bulk_loading(), "FlatRing::cover during bulk load");
   DHTLB_CHECK(live_ > 0, "FlatRing::cover on empty ring");
-  const std::size_t m = skip_dead(main_lower_bound(point));
-  const std::size_t s = stage_lower_bound(point);
-  const bool have_m = m < entries_.size();
-  const bool have_s = s < staging_.size();
-  if (!have_m && !have_s) return first();  // wrapped past the top
-  Cursor c;
-  if (have_m && (!have_s || entries_[m].id < staging_[s].id)) {
-    c.main = m;
-    c.stage = s;
-    c.on_stage = false;
-  } else {
-    c.main = m;
-    c.stage = s;
-    c.on_stage = true;
-  }
-  return c;
+  const std::size_t b = block_lower_bound(point);
+  if (b == order_.size()) return first();  // wrapped past the top
+  return Cursor{static_cast<std::uint32_t>(b), entry_lower_bound(b, point)};
 }
 
 FlatRing::Cursor FlatRing::first() const {
   DHTLB_CHECK(live_ > 0, "FlatRing::first on empty ring");
-  const std::size_t m = skip_dead(0);
-  const bool have_m = m < entries_.size();
-  const bool have_s = !staging_.empty();
-  Cursor c;
-  c.main = m;
-  c.stage = 0;
-  c.on_stage = have_s && (!have_m || staging_[0].id < entries_[m].id);
-  return c;
-}
-
-FlatRing::Cursor FlatRing::last() const {
-  DHTLB_CHECK(live_ > 0, "FlatRing::last on empty ring");
-  // Last live main entry, scanning back over at most dead_ tombstones.
-  std::size_t m = entries_.size();
-  while (m > 0 && entries_[m - 1].slot == kNoSlot) --m;
-  const bool have_m = m > 0;
-  const bool have_s = !staging_.empty();
-  Cursor c;
-  if (have_s && (!have_m || entries_[m - 1].id < staging_.back().id)) {
-    c.main = entries_.size();
-    c.stage = staging_.size() - 1;
-    c.on_stage = true;
-  } else {
-    c.main = m - 1;
-    c.stage = staging_.size();
-    c.on_stage = false;
-  }
-  return c;
+  return Cursor{};
 }
 
 // --- slot arena -----------------------------------------------------------
@@ -193,8 +120,8 @@ Slot FlatRing::alloc_slot(const Uint160& id, NodeIndex owner, bool is_sybil) {
     owners_[s] = owner;
     sybils_[s] = is_sybil ? 1 : 0;
   } else {
+    check_limits(order_.size(), ids_.size() + 1);
     s = static_cast<Slot>(ids_.size());
-    DHTLB_CHECK(s != kNoSlot, "FlatRing: slot arena exhausted");
     ids_.push_back(id);
     owners_.push_back(owner);
     sybils_.push_back(is_sybil ? 1 : 0);
@@ -212,40 +139,77 @@ void FlatRing::free_slot(Slot s) {
 
 // --- mutation -------------------------------------------------------------
 
+FlatRing::Entry* FlatRing::add_block(std::size_t b, Uint160 max) {
+  check_limits(order_.size() + 1, ids_.size());
+  Entry* block;
+  if (spare_.empty()) {
+    chunks_.emplace_back(kBlockCapacity);
+    block = chunks_.back().data();
+  } else {
+    block = spare_.back();
+    spare_.pop_back();
+  }
+  const auto at = static_cast<std::ptrdiff_t>(b);
+  order_.insert(order_.begin() + at, block);
+  sizes_.insert(sizes_.begin() + at, 0);
+  maxes_.insert(maxes_.begin() + at, max);
+  return block;
+}
+
 Slot FlatRing::insert(const Uint160& id, NodeIndex owner, bool is_sybil) {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::insert during bulk load");
-  DHTLB_ASSERT(!contains(id), "FlatRing::insert: duplicate id " << id);
+  DHTLB_CHECK(!bulk_loading(), "FlatRing::insert during bulk load");
+  if (order_.empty()) add_block(0, id);
+  // An id above every block's max extends the last block.
+  const std::size_t top = order_.size() - 1;
+  std::size_t b = std::min(block_lower_bound(id), top);
+  std::uint32_t pos = id > maxes_[b] ? sizes_[b] : entry_lower_bound(b, id);
+  DHTLB_CHECK(pos == sizes_[b] || order_[b][pos].id != id,
+              "FlatRing::insert: duplicate id " << id);
+  if (sizes_[b] == kBlockCapacity) {
+    // Split: the upper half moves to a new block right after this one.
+    constexpr std::uint32_t kHalf = kBlockCapacity / 2;
+    Entry* upper = add_block(b + 1, maxes_[b]);
+    std::copy(order_[b] + kHalf, order_[b] + kBlockCapacity, upper);
+    sizes_[b + 1] = kBlockCapacity - kHalf;
+    sizes_[b] = kHalf;
+    maxes_[b] = order_[b][kHalf - 1].id;
+    if (pos >= kHalf) {
+      ++b;
+      pos -= kHalf;
+    }
+  }
   const Slot slot = alloc_slot(id, owner, is_sybil);
-  const std::size_t s = stage_lower_bound(id);
-  staging_.insert(staging_.begin() + static_cast<std::ptrdiff_t>(s),
-                  Entry{id, slot});
+  Entry* block = order_[b];
+  std::copy_backward(block + pos, block + sizes_[b], block + sizes_[b] + 1);
+  block[pos] = Entry{id, slot};
+  if (pos == sizes_[b]) maxes_[b] = id;
+  ++sizes_[b];
   ++live_;
-  merge_if_needed();
   return slot;
 }
 
 void FlatRing::erase(const Uint160& id) {
-  DHTLB_CHECK(!bulk_mode_, "FlatRing::erase during bulk load");
-  const std::size_t s = stage_lower_bound(id);
-  if (s < staging_.size() && staging_[s].id == id) {
-    free_slot(staging_[s].slot);
-    staging_.erase(staging_.begin() + static_cast<std::ptrdiff_t>(s));
-    --live_;
-    return;
-  }
-  const std::size_t m = main_lower_bound(id);
-  DHTLB_CHECK(m < entries_.size() && entries_[m].id == id &&
-                  entries_[m].slot != kNoSlot,
-              "FlatRing::erase: id " << id << " not in ring");
-  free_slot(entries_[m].slot);
-  entries_[m].slot = kNoSlot;
-  ++dead_;
+  DHTLB_CHECK(!bulk_loading(), "FlatRing::erase during bulk load");
+  const Cursor c = find(id);
+  Entry* block = order_[c.block];
+  const std::uint32_t size = --sizes_[c.block];
+  free_slot(block[c.pos].slot);
+  std::copy(block + c.pos + 1, block + size + 1, block + c.pos);
   --live_;
-  merge_if_needed();
+  if (size == 0) {
+    // An emptied block leaves the order and goes back to the pool.
+    spare_.push_back(block);
+    order_.erase(order_.begin() + c.block);
+    sizes_.erase(sizes_.begin() + c.block);
+    maxes_.erase(maxes_.begin() + c.block);
+  } else if (c.pos == size) {
+    maxes_[c.block] = block[size - 1].id;
+  }
 }
 
 void FlatRing::reserve(std::size_t n) {
-  entries_.reserve(n);
+  // Room for the blocks finalize_bulk will spread n entries over.
+  bulk_.reserve((n + kBulkFill - 1) / kBulkFill * kBlockCapacity);
   ids_.reserve(n);
   owners_.reserve(n);
   sybils_.reserve(n);
@@ -254,109 +218,79 @@ void FlatRing::reserve(std::size_t n) {
 
 Slot FlatRing::bulk_append(const Uint160& id, NodeIndex owner,
                            bool is_sybil) {
-  DHTLB_CHECK(staging_.empty() && dead_ == 0,
-              "FlatRing::bulk_append on a churned ring");
-  bulk_mode_ = true;
+  DHTLB_CHECK(order_.empty(), "FlatRing::bulk_append on a non-empty ring");
   const Slot slot = alloc_slot(id, owner, is_sybil);
-  entries_.push_back(Entry{id, slot});
+  bulk_.push_back(Entry{id, slot});
   ++live_;
   return slot;
 }
 
 void FlatRing::finalize_bulk() {
-  std::sort(entries_.begin(), entries_.end(),
+  const std::size_t n = bulk_.size();
+  if (n == 0) return;
+  std::sort(bulk_.begin(), bulk_.end(),
             [](const Entry& a, const Entry& b) { return a.id < b.id; });
-  bulk_mode_ = false;
-}
-
-// --- merge passes ---------------------------------------------------------
-
-std::size_t FlatRing::merge_threshold() const {
-  return kMinBatch + isqrt(live_);
-}
-
-void FlatRing::merge_if_needed() {
-  const std::size_t threshold = merge_threshold();
-  if (staging_.size() > threshold || dead_ > threshold) merge_now();
-}
-
-void FlatRing::merge_now() {
-  std::vector<Entry> merged;
-  merged.reserve(live_);
-  std::size_t m = skip_dead(0);
-  std::size_t s = 0;
-  while (m < entries_.size() || s < staging_.size()) {
-    if (s >= staging_.size() ||
-        (m < entries_.size() && entries_[m].id < staging_[s].id)) {
-      merged.push_back(entries_[m]);
-      m = skip_dead(m + 1);
-    } else {
-      merged.push_back(staging_[s]);
-      ++s;
+  // Spread the sorted entries kBulkFill to a block in place, last block
+  // first so nothing is overwritten before it moves.  The buffer then
+  // becomes the pool's first chunk: the load needs no second copy.
+  const std::size_t blocks = (n + kBulkFill - 1) / kBulkFill;
+  check_limits(blocks, ids_.size());
+  bulk_.resize(blocks * kBlockCapacity);
+  order_.resize(blocks);
+  sizes_.resize(blocks);
+  maxes_.resize(blocks);
+  Entry* base = bulk_.data();
+  for (std::size_t b = blocks; b-- > 0;) {
+    const std::size_t from = b * kBulkFill;
+    const std::size_t count = std::min(kBulkFill, n - from);
+    Entry* block = base + b * kBlockCapacity;
+    if (b > 0) {
+      std::copy_backward(base + from, base + from + count, block + count);
     }
+    order_[b] = block;
+    sizes_[b] = static_cast<std::uint32_t>(count);
+    maxes_[b] = block[count - 1].id;
   }
-  entries_ = std::move(merged);
-  staging_.clear();
-  dead_ = 0;
-  ++merge_passes_;
+  chunks_.push_back(std::exchange(bulk_, {}));  // ends bulk mode
 }
 
 // --- introspection --------------------------------------------------------
 
 bool FlatRing::index_consistent() const {
-  if (bulk_mode_) return false;
-  // Both halves strictly sorted; staging all live.
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (!(entries_[i - 1].id < entries_[i].id)) return false;
+  if (bulk_loading()) return false;
+  std::size_t pooled = 0;
+  for (const std::vector<Entry>& chunk : chunks_) {
+    pooled += chunk.size() / kBlockCapacity;
   }
-  for (std::size_t i = 0; i < staging_.size(); ++i) {
-    if (staging_[i].slot == kNoSlot) return false;
-    if (i > 0 && !(staging_[i - 1].id < staging_[i].id)) return false;
+  if (sizes_.size() != order_.size() || maxes_.size() != order_.size() ||
+      order_.size() + spare_.size() != pooled) {
+    return false;
   }
-  // Counts line up.
-  std::size_t main_live = 0;
-  std::size_t main_dead = 0;
-  for (const Entry& e : entries_) {
-    if (e.slot == kNoSlot) {
-      ++main_dead;
-    } else {
-      ++main_live;
-    }
-  }
-  if (main_dead != dead_) return false;
-  if (main_live + staging_.size() != live_) return false;
-  // Every live entry's slot is in range, unique, not on the free list,
-  // and stores the id the index claims.
+  // Every slot is live or on the free list, never both, never twice.
   std::vector<std::uint8_t> seen(ids_.size(), 0);
   for (const Slot s : free_slots_) {
     if (s >= ids_.size() || seen[s]) return false;
     seen[s] = 2;
   }
-  const auto check_entry = [&](const Entry& e) {
-    if (e.slot >= ids_.size() || seen[e.slot]) return false;
-    seen[e.slot] = 1;
-    return ids_[e.slot] == e.id;
-  };
-  for (const Entry& e : entries_) {
-    if (e.slot != kNoSlot && !check_entry(e)) return false;
-  }
-  for (const Entry& e : staging_) {
-    if (!check_entry(e)) return false;
-  }
-  // No leaked slots: every slot is live or free.
-  for (const std::uint8_t mark : seen) {
-    if (mark == 0) return false;
-  }
-  // A staged id may only collide with a *dead* main entry (the
-  // erase-then-reinsert case); a live duplicate would shadow it.
-  for (const Entry& e : staging_) {
-    const std::size_t m = main_lower_bound(e.id);
-    if (m < entries_.size() && entries_[m].id == e.id &&
-        entries_[m].slot != kNoSlot) {
-      return false;
+  std::size_t live = 0;
+  const Uint160* prev = nullptr;
+  for (std::size_t b = 0; b < order_.size(); ++b) {
+    const Entry* block = order_[b];
+    const std::uint32_t size = sizes_[b];
+    if (size == 0 || size > kBlockCapacity) return false;
+    if (maxes_[b] != block[size - 1].id) return false;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const Entry& e = block[i];
+      if (prev != nullptr && !(*prev < e.id)) return false;
+      prev = &e.id;
+      if (e.slot >= ids_.size() || seen[e.slot]) return false;
+      seen[e.slot] = 1;
+      if (ids_[e.slot] != e.id) return false;
     }
+    live += size;
   }
-  return true;
+  if (live != live_) return false;
+  return std::find(seen.begin(), seen.end(), 0) == seen.end();
 }
 
 }  // namespace dhtlb::sim

@@ -1,33 +1,38 @@
-// Flat ring storage: a sorted (id, slot) index over a stable slot arena.
+// Flat ring storage: a chunked sorted (id, slot) index over a stable slot
+// arena.
 //
-// The simulated ring used to live in a std::map<Uint160, VirtualNode>,
-// which costs one heap node and a pointer-chasing tree walk per vnode —
-// prohibitive at the 100k..1M vnode scales the roadmap targets.  This
-// container keeps the same ordered-ring semantics on two flat pieces:
+// The simulated ring keeps the ordered-ring semantics of a
+// std::map<Uint160, VirtualNode> on two flat pieces:
 //
-//  * an *index*: a sorted vector of (id, slot) entries, binary-searched
-//    for find/cover and walked by position for successor/predecessor
-//    (O(1) steps on contiguous memory instead of tree pointer chases);
+//  * an *index*: the sorted (id, slot) entries cut into fixed-capacity
+//    leaf blocks of kBlockCapacity entries (a B+-tree's leaf level).  A
+//    small block-order array lists the blocks in ascending-id order, and
+//    a summary array beside it holds each block's largest id.  A search
+//    interpolates on the summary to find the block, then interpolates
+//    inside the block; SHA-1 ids are uniform at both levels, so each
+//    guess lands within a few entries.  An insert or erase moves entries
+//    of one block only: a full block splits in two, and an emptied block
+//    goes back to the pool; only those two events shift the block-order
+//    and summary arrays.  Walks step within a block and hop to the
+//    neighbouring block at its edges.
 //  * a *slot arena*: per-vnode payloads split struct-of-arrays — owner,
 //    sybil flag, and TaskStore each in their own vector, indexed by a
 //    Slot handle.  Slots are stable for a vnode's lifetime (freed slots
-//    are recycled), which replaces the old "map value pointers never
-//    move" contract: callers cache Slot handles instead of pointers.
-//
-// Mutations are batched: an insert lands in a small sorted *staging*
-// vector and an erase tombstones its index entry in place; every query
-// reads the merged view of (index minus tombstones) + staging.  When
-// either side outgrows ~sqrt(live) entries, one O(n) merge pass folds
-// them into a fresh index — so sustained churn costs amortized O(sqrt n)
-// per membership change instead of an O(n) memmove each.
+//    are recycled), so callers cache Slot handles instead of pointers.
 //
 // Construction has a separate bulk path (bulk_append + finalize_bulk):
-// append unsorted, sort once.
+// append unsorted, sort once, and spread the entries over blocks in
+// place, so the load buffer itself becomes the pool's first chunk.
+//
+// Every query (find/cover/next/prev/for_each) is const and touches no
+// mutable state, so any number of readers may share a ring that no one
+// mutates — the tick engine resolves arrival covers from several
+// workers at once.
 //
 // Determinism: this container is purely representational — it stores
 // exactly the (id -> payload) ring the std::map stored, iterates in the
-// same ascending-id order, and draws no randomness — so replacing the
-// map cannot change any simulation result.
+// same ascending-id order, and draws no randomness — so how entries are
+// cut into blocks cannot change any simulation result.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +58,34 @@ using Slot = std::uint32_t;
 
 class FlatRing {
  public:
-  /// Sentinel slot: marks index tombstones; never a valid handle.
+  /// Sentinel slot: never a valid handle.
   static constexpr Slot kNoSlot = 0xFFFFFFFFu;
+
+  /// Entries per leaf block.  A split or an erase moves at most this
+  /// many 24-byte entries; the summary holds ~n/(0.7·B) block maxima.
+  static constexpr std::size_t kBlockCapacity = 256;
+
+  /// Ceilings of the uint32 handles: block positions in a Cursor, and
+  /// arena slots below the kNoSlot sentinel.
+  static constexpr std::size_t kMaxBlocks = 0xFFFFFFFFu;
+  static constexpr std::size_t kMaxSlots = kNoSlot;
+
+  /// DHTLB_CHECKs that `blocks` leaf blocks and `slots` arena slots fit
+  /// their handle types; called wherever the index or arena grows.
+  static void check_limits(std::size_t blocks, std::size_t slots);
 
   struct Entry {
     Uint160 id;
-    Slot slot = kNoSlot;  // kNoSlot in the main index == tombstone
+    Slot slot = kNoSlot;
   };
+
+  // The block order points into the pool's chunks, so a copy would
+  // alias its source's blocks; a move hands the chunks over intact.
+  FlatRing() = default;
+  FlatRing(const FlatRing&) = delete;
+  FlatRing& operator=(const FlatRing&) = delete;
+  FlatRing(FlatRing&&) = default;
+  FlatRing& operator=(FlatRing&&) = default;
 
   // --- size & membership --------------------------------------------------
 
@@ -79,19 +105,14 @@ class FlatRing {
 
   // --- cursors ------------------------------------------------------------
 
-  /// Position in the merged (index + staging) view.  A cursor addresses
-  /// one live vnode; next()/prev() walk the ring clockwise and
-  /// counterclockwise with wrap-around.  Invalidated by any mutation
+  /// Position of one live vnode: entry `pos` of the block at position
+  /// `block` in the block order.  next()/prev() walk the ring clockwise
+  /// and counterclockwise with wrap-around.  Invalidated by any mutation
   /// (insert/erase/finalize_bulk) — same contract as the old map
   /// iterators.  Slots, by contrast, stay valid.
   struct Cursor {
-    // Invariant: every live index entry before `main` (and staging entry
-    // before `stage`) has id < the cursor's id; every one at-or-after
-    // has id >= it.  The current element is entries_[main] when
-    // !on_stage, staging_[stage] otherwise.
-    std::size_t main = 0;
-    std::size_t stage = 0;
-    bool on_stage = false;
+    std::uint32_t block = 0;
+    std::uint32_t pos = 0;
   };
 
   /// Cursor of an id that is in the ring (DHTLB_CHECKs otherwise).
@@ -107,99 +128,93 @@ class FlatRing {
 
   // Neighbor steps are the inner loop of every ring walk; they live at
   // the bottom of this header so they inline into the walk iterators.
-  Cursor next(const Cursor& c) const;  // clockwise neighbor, wraps
-  Cursor prev(const Cursor& c) const;  // counterclockwise neighbor, wraps
+  Cursor next(Cursor c) const;  // clockwise neighbor, wraps
+  Cursor prev(Cursor c) const;  // counterclockwise neighbor, wraps
 
-  const Uint160& id_at(const Cursor& c) const {
-    return c.on_stage ? staging_[c.stage].id : entries_[c.main].id;
-  }
-  Slot slot_at(const Cursor& c) const {
-    return c.on_stage ? staging_[c.stage].slot : entries_[c.main].slot;
-  }
+  const Uint160& id_at(const Cursor& c) const { return entry_at(c).id; }
+  Slot slot_at(const Cursor& c) const { return entry_at(c).slot; }
 
   /// Calls fn(id, slot) for every live vnode in ascending-id order — the
   /// bulk read path (snapshots, audits, task assignment) at O(n) with no
   /// per-element search.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    std::size_t m = skip_dead(0);
-    std::size_t s = 0;
-    while (m < entries_.size() || s < staging_.size()) {
-      if (s >= staging_.size() ||
-          (m < entries_.size() && entries_[m].id < staging_[s].id)) {
-        fn(entries_[m].id, entries_[m].slot);
-        m = skip_dead(m + 1);
-      } else {
-        fn(staging_[s].id, staging_[s].slot);
-        ++s;
+    for (std::size_t b = 0; b < order_.size(); ++b) {
+      for (std::uint32_t i = 0; i < sizes_[b]; ++i) {
+        fn(order_[b][i].id, order_[b][i].slot);
       }
     }
   }
 
   // --- mutation -----------------------------------------------------------
 
-  /// Inserts a new vnode (id must not be present) into staging and
-  /// returns its arena slot.  Amortized O(sqrt n).
+  /// Inserts a new vnode (id must not be present) and returns its arena
+  /// slot.  Moves entries of one block only.
   Slot insert(const Uint160& id, NodeIndex owner, bool is_sybil);
 
   /// Removes a vnode (id must be present), freeing its slot.  Any tasks
   /// still in its store are dropped — callers merge them out first.
   void erase(const Uint160& id);
 
-  /// Pre-sizes the index and arena for n vnodes.
+  /// Pre-sizes the bulk-load buffer and the arena for n vnodes.
   void reserve(std::size_t n);
 
-  /// Bulk-load path: appends without sorting.  Between the first
-  /// bulk_append and finalize_bulk only slot accessors are valid.
+  /// Bulk-load path on an empty ring: appends without sorting.  Between
+  /// the first bulk_append and finalize_bulk only slot accessors are
+  /// valid.
   Slot bulk_append(const Uint160& id, NodeIndex owner, bool is_sybil);
 
-  /// Sorts the bulk-loaded index; the ring is fully queryable after.
+  /// Sorts the bulk-loaded entries into blocks; the ring is fully
+  /// queryable after.
   void finalize_bulk();
 
-  // --- introspection (audits, tests, telemetry) ---------------------------
+  // --- introspection (audits, tests) --------------------------------------
 
-  /// Merge passes run so far (each folds staging + tombstones away).
-  std::uint64_t merge_passes() const { return merge_passes_; }
-  std::size_t staged_count() const { return staging_.size(); }
-  std::size_t tombstone_count() const { return dead_; }
+  /// Leaf blocks in the index.
+  std::size_t block_count() const { return order_.size(); }
 
-  /// Deep structural check: both halves sorted and duplicate-free, live
-  /// counts consistent, every live entry's slot valid and unique, every
-  /// slot's stored id matching its index entry.  O(n log n); for the
-  /// invariant auditor and tests.
+  /// Deep structural check: blocks non-empty and strictly sorted within
+  /// and across block edges, every summary entry equal to its block's
+  /// largest id, live count and block pool consistent, every live
+  /// entry's slot valid and unique, every slot's stored id matching its
+  /// index entry.  O(n); for the invariant auditor and tests.
   bool index_consistent() const;
 
  private:
   // Test-only: lets auditor tests seed index corruptions (arena/index id
-  // mismatches) that the public API makes impossible by construction.
+  // mismatches, stale summaries) that the public API makes impossible.
   friend struct testing::FlatRingCorruptor;
 
-  std::size_t skip_dead(std::size_t m) const {
-    while (m < entries_.size() && entries_[m].slot == kNoSlot) ++m;
-    return m;
+  const Entry& entry_at(const Cursor& c) const {
+    return order_[c.block][c.pos];
   }
+  bool bulk_loading() const { return !bulk_.empty(); }
+
+  /// Position of the first block whose largest id is >= `id`, or
+  /// block_count() when `id` is above every id in the ring.
+  std::size_t block_lower_bound(const Uint160& id) const;
+  /// Position of the first entry >= `id` in block `b`, whose largest id
+  /// must be >= `id`.
+  std::uint32_t entry_lower_bound(std::size_t b, const Uint160& id) const;
+
+  /// A pooled (or new) empty block, inserted at position `b` of the
+  /// block order with summary `max`.
+  Entry* add_block(std::size_t b, Uint160 max);
 
   Slot alloc_slot(const Uint160& id, NodeIndex owner, bool is_sybil);
   void free_slot(Slot s);
 
-  /// First index position with id > `id` / >= `id` (tombstones count:
-  /// they keep their ids, so the index stays sorted).
-  std::size_t main_upper_bound(const Uint160& id) const;
-  std::size_t main_lower_bound(const Uint160& id) const;
-  std::size_t stage_upper_bound(const Uint160& id) const;
-  std::size_t stage_lower_bound(const Uint160& id) const;
-
-  Cursor last() const;
-
-  std::size_t merge_threshold() const;
-  void merge_if_needed();
-  void merge_now();
-
-  std::vector<Entry> entries_;  // sorted by id; slot==kNoSlot: tombstone
-  std::vector<Entry> staging_;  // sorted by id; all live; small
-  std::size_t live_ = 0;        // live vnodes (index live + staging)
-  std::size_t dead_ = 0;        // tombstones in entries_
-  bool bulk_mode_ = false;
+  // A block is kBlockCapacity consecutive entries inside a pool chunk;
+  // the three arrays below are parallel, in ascending-id block order.
+  std::vector<Entry*> order_;         // never an empty block
+  std::vector<std::uint32_t> sizes_;  // live entries of order_[b]
+  std::vector<Uint160> maxes_;        // largest id in order_[b]
+  // The pool: chunks of whole blocks.  The bulk-load buffer becomes the
+  // first chunk in place; each later split adds a one-block chunk.
+  std::vector<std::vector<Entry>> chunks_;
+  std::vector<Entry*> spare_;  // pooled blocks not in order_
+  std::vector<Entry> bulk_;    // unsorted bulk load, empty otherwise
+  std::size_t live_ = 0;
 
   // Slot arena, struct-of-arrays: the hot membership fields (id, owner,
   // sybil flag) pack densely for the auditor/strategy scans; the cold
@@ -209,49 +224,24 @@ class FlatRing {
   std::vector<std::uint8_t> sybils_;
   std::vector<TaskStore> tasks_;
   std::vector<Slot> free_slots_;
-
-  std::uint64_t merge_passes_ = 0;
 };
 
-inline FlatRing::Cursor FlatRing::next(const Cursor& c) const {
-  std::size_t m = c.main;
-  std::size_t s = c.stage;
-  if (c.on_stage) {
-    ++s;
-    m = skip_dead(m);
-  } else {
-    m = skip_dead(m + 1);
+inline FlatRing::Cursor FlatRing::next(Cursor c) const {
+  if (++c.pos == sizes_[c.block]) {
+    c.pos = 0;
+    if (++c.block == order_.size()) c.block = 0;  // wrap past the top
   }
-  const bool have_m = m < entries_.size();
-  const bool have_s = s < staging_.size();
-  if (!have_m && !have_s) return first();  // wrap clockwise past the top
-  Cursor out;
-  out.main = m;
-  out.stage = s;
-  out.on_stage = have_s && (!have_m || staging_[s].id < entries_[m].id);
-  return out;
+  return c;
 }
 
-inline FlatRing::Cursor FlatRing::prev(const Cursor& c) const {
-  // Last live main entry strictly before c.main, and the staging entry
-  // just before c.stage; the counterclockwise neighbor is the larger.
-  std::size_t m = c.main;
-  while (m > 0 && entries_[m - 1].slot == kNoSlot) --m;
-  const bool have_m = m > 0;
-  const bool have_s = c.stage > 0;
-  if (!have_m && !have_s) return last();  // wrap counterclockwise
-  Cursor out;
-  if (have_s &&
-      (!have_m || entries_[m - 1].id < staging_[c.stage - 1].id)) {
-    out.main = c.main;
-    out.stage = c.stage - 1;
-    out.on_stage = true;
-  } else {
-    out.main = m - 1;
-    out.stage = c.stage;
-    out.on_stage = false;
+inline FlatRing::Cursor FlatRing::prev(Cursor c) const {
+  if (c.pos == 0) {
+    if (c.block == 0) c.block = static_cast<std::uint32_t>(order_.size());
+    --c.block;
+    c.pos = sizes_[c.block];
   }
-  return out;
+  --c.pos;
+  return c;
 }
 
 }  // namespace dhtlb::sim

@@ -31,6 +31,11 @@ enum class TaskProvisioning {
   kStreamed,
 };
 
+/// Largest initial_nodes Params::validate accepts: the world holds 2n
+/// physical nodes (alive + waiting pool) with uint32 NodeIndex handles,
+/// all below the 0xFFFFFFFF not-alive sentinel.
+inline constexpr std::size_t kMaxInitialNodes = 0xFFFFFFFFu / 2;
+
 struct Params {
   /// Nodes alive at tick zero.  A pool of equally many waiting nodes is
   /// created alongside (§IV-A), so churn joins/leaves roughly balance.

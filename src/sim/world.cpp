@@ -408,10 +408,12 @@ void World::debit_remaining(std::uint64_t consumed) {
   remaining_ -= consumed;
 }
 
-void World::inject_task(const Uint160& key) {
-  const Slot slot = ring_.slot_at(ring_.cover(key));
-  ring_.tasks(slot).add(key);
-  ++physicals_[ring_.owner(slot)].workload;
+void World::inject_task(const Uint160& key, Slot covering) {
+  DHTLB_ASSERT(covering_slot(key) == covering,
+               "inject_task: slot " << covering << " does not cover key "
+                                    << key);
+  ring_.tasks(covering).add(key);
+  ++physicals_[ring_.owner(covering)].workload;
   ++remaining_;
   ++total_tasks_;
 }

@@ -301,12 +301,25 @@ class World {
   /// consumption phase: subtracts the folded per-shard total.
   void debit_remaining(std::uint64_t consumed);
 
+  /// Arena slot of the vnode whose arc covers `point`.  A pure read:
+  /// several threads may call it at once while no one mutates the ring.
+  Slot covering_slot(const Uint160& point) const {
+    return ring_.slot_at(ring_.cover(point));
+  }
+
   /// Adds one task with `key` to the vnode whose arc covers it — the
-  /// mid-run workload entry point shared by scenario injection events
-  /// and streamed provisioning (the engine folds each tick's TaskStream
-  /// arrivals through here; DESIGN.md §0).  Raises total_tasks()
-  /// alongside remaining_tasks() so conservation stays exact.
-  void inject_task(const Uint160& key);
+  /// mid-run workload entry point of scenario injection events.  Raises
+  /// total_tasks() alongside remaining_tasks() so conservation stays
+  /// exact.
+  void inject_task(const Uint160& key) {
+    inject_task(key, covering_slot(key));
+  }
+
+  /// inject_task with the covering vnode's slot already resolved by
+  /// covering_slot(key) on the current ring (DHTLB_ASSERTed).  The
+  /// engine resolves each tick's streamed arrivals in its parallel draw
+  /// phase and folds them through here (DESIGN.md §0).
+  void inject_task(const Uint160& key, Slot covering);
 
   // --- mutation: scenario re-parameterization -----------------------------
 
@@ -335,8 +348,8 @@ class World {
   bool alive_index_consistent() const;
 
   /// Deep structural check of the flat ring index itself (sortedness,
-  /// tombstone/staging bookkeeping, slot-arena cross-references).  For
-  /// the auditor and tests.
+  /// block summary and pool bookkeeping, slot-arena cross-references).
+  /// For the auditor and tests.
   bool ring_index_consistent() const { return ring_.index_consistent(); }
 
  private:
@@ -378,6 +391,8 @@ class World {
   // the difference between O(alive) and O(alive^2 * churn) per tick at
   // 1M vnodes.  Audited by alive_index_consistent().
   static constexpr std::uint32_t kNotAlive = 0xFFFFFFFFu;
+  static_assert(2 * kMaxInitialNodes - 1 < kNotAlive,
+                "Params::validate must keep every NodeIndex below kNotAlive");
   std::vector<std::uint32_t> alive_pos_;
   // home_shard_[idx] = arc_shard(primary vnode id, kTickShards), cached
   // at primary placement for the engine's per-tick shard partition.

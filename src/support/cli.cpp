@@ -7,12 +7,9 @@
 
 namespace dhtlb::support {
 
-namespace {
-
-/// Base-10 unsigned 64-bit parse.  strtoull alone accepts a sign ("-1"
-/// wraps to 2^64-1), leading whitespace, and saturates on overflow, so
-/// those are rejected here.
 std::optional<std::uint64_t> parse_u64(const std::string& raw) {
+  // strtoull alone accepts a sign ("-1" wraps to 2^64-1) and leading
+  // whitespace, and saturates on overflow.
   if (raw.empty() || raw.front() < '0' || raw.front() > '9') {
     return std::nullopt;
   }
@@ -22,8 +19,6 @@ std::optional<std::uint64_t> parse_u64(const std::string& raw) {
   if (*end != '\0' || errno == ERANGE) return std::nullopt;
   return v;
 }
-
-}  // namespace
 
 void CliParser::add_flag(const std::string& name,
                          const std::string& value_name,

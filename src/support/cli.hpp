@@ -14,6 +14,11 @@
 
 namespace dhtlb::support {
 
+/// Base-10 unsigned 64-bit parse of a whole string: nullopt on an empty
+/// string, a sign, leading blanks, trailing garbage, or overflow.  The
+/// one integer rule shared by flags and environment variables.
+std::optional<std::uint64_t> parse_u64(const std::string& raw);
+
 class CliParser {
  public:
   /// Registers a flag before parsing.  `value_name` empty = boolean flag.

@@ -1,16 +1,20 @@
 #include "support/env.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
+
+#include "support/cli.hpp"
 
 namespace dhtlb::support {
 
 std::uint64_t env_u64(const std::string& name, std::uint64_t fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return v;
+  const auto v = parse_u64(raw);
+  if (!v) {
+    throw std::invalid_argument(name + ": not an unsigned integer: " + raw);
+  }
+  return *v;
 }
 
 std::size_t env_trials(std::size_t fallback) {
@@ -21,7 +25,13 @@ std::size_t env_trials(std::size_t fallback) {
 std::uint64_t env_seed() { return env_u64("DHTLB_SEED", 0x5EEDBA5EULL); }
 
 std::size_t env_threads() {
-  return static_cast<std::size_t>(env_u64("DHTLB_THREADS", 0));
+  const std::uint64_t v = env_u64("DHTLB_THREADS", 0);
+  if (v > kMaxEnvThreads) {
+    throw std::invalid_argument("DHTLB_THREADS: " + std::to_string(v) +
+                                " exceeds the ceiling of " +
+                                std::to_string(kMaxEnvThreads));
+  }
+  return static_cast<std::size_t>(v);
 }
 
 std::string env_string(const std::string& name, const std::string& fallback) {

@@ -9,13 +9,19 @@
 // EXPERIMENTS.md records which settings produced the committed numbers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace dhtlb::support {
 
-/// Reads an unsigned integer env var; returns fallback when unset, empty,
-/// or unparseable.
+/// Largest DHTLB_THREADS env_threads() accepts.
+inline constexpr std::size_t kMaxEnvThreads = 256;
+
+/// Reads an unsigned integer env var; returns fallback when unset or
+/// empty.  Any other value must pass support::parse_u64 (no sign, no
+/// blanks, no trailing garbage, no overflow), else std::invalid_argument
+/// naming the variable is thrown.
 std::uint64_t env_u64(const std::string& name, std::uint64_t fallback);
 
 /// Trial count for a reproduction binary: DHTLB_TRIALS or the default.
@@ -25,6 +31,8 @@ std::size_t env_trials(std::size_t fallback);
 std::uint64_t env_seed();
 
 /// Thread count for trial fans: DHTLB_THREADS or 0 (= hardware).
+/// Throws std::invalid_argument above kMaxEnvThreads, before any caller
+/// can build a pool of that size.
 std::size_t env_threads();
 
 /// Reads a string env var; returns fallback when unset or empty.

@@ -120,6 +120,17 @@ TEST(InvariantAuditorTest, DetectsDesyncedRingIndex) {
   EXPECT_TRUE(failing_checks(world).contains("index-integrity"));
 }
 
+TEST(InvariantAuditorTest, DetectsStaleRingSummary) {
+  // The block summary claims a larger max than its block holds; lookups
+  // still answer (the stale max only widens the block's range), so only
+  // the index-integrity summary check can notice.
+  support::Rng rng(43);
+  World world(small_params(), rng);
+  ASSERT_TRUE(WorldCorruptor::desync_ring_summary(world));
+  EXPECT_FALSE(world.check_invariants());
+  EXPECT_TRUE(failing_checks(world).contains("index-integrity"));
+}
+
 TEST(InvariantAuditorTest, SybilCapViolationIsDetected) {
   // create_sybil deliberately does not enforce the cap (that is the
   // strategy's job) — the auditor must flag a strategy that overshoots.

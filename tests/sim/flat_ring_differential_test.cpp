@@ -3,8 +3,10 @@
 // join/leave/lookup sequences; after every mutation the flat ring must
 // give the same successor, predecessor, cover, and owner answers as the
 // map, and its deep index_consistent() check must hold.  This pins the
-// staged-insert / tombstone / merge machinery to the simple ordered-map
-// semantics the rest of the simulator was written against.
+// block split / free / summary machinery to the simple ordered-map
+// semantics the rest of the simulator was written against.  A second
+// suite builds rings of sizes around the block capacity and walks every
+// member both ways, so each block edge and the wrap are crossed.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -157,6 +159,88 @@ TEST_P(FlatRingDifferentialTest, RandomChurnSequenceMatchesMapReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatRingDifferentialTest,
                          ::testing::Values(1, 2, 3, 7, 42, 1337, 9001));
+
+class FlatRingBlockEdgeTest : public ::testing::TestWithParam<std::size_t> {};
+
+/// Every member's successor, predecessor and cover-of-own-id, walked
+/// from find(); plus one full clockwise and counterclockwise lap.
+void expect_walks_match(const FlatRing& ring, const MapReference& ref) {
+  ASSERT_EQ(ring.size(), ref.size());
+  ASSERT_TRUE(ring.index_consistent());
+  for (const auto& [vid, payload] : ref.all()) {
+    const FlatRing::Cursor c = ring.find(vid);
+    ASSERT_EQ(ring.id_at(ring.next(c)), ref.successor(vid));
+    ASSERT_EQ(ring.id_at(ring.prev(c)), ref.predecessor(vid));
+    ASSERT_EQ(ring.id_at(ring.cover(vid)), vid);
+    ASSERT_EQ(ring.owner(ring.slot_at(c)), payload.owner);
+  }
+  FlatRing::Cursor fwd = ring.first();
+  FlatRing::Cursor back = ring.first();
+  auto up = ref.all().begin();
+  auto down = ref.all().end();
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(ring.id_at(fwd), up->first) << "lap step " << i;
+    fwd = ring.next(fwd);
+    ++up;
+    back = ring.prev(back);
+    --down;
+    ASSERT_EQ(ring.id_at(back), down->first) << "lap step " << i;
+  }
+  ASSERT_EQ(ring.id_at(fwd), ref.all().begin()->first);  // wrapped
+}
+
+TEST_P(FlatRingBlockEdgeTest, WalksAcrossBlockEdgesMatchMapReference) {
+  const std::size_t n = GetParam();
+  support::Rng rng(n);
+  std::vector<Uint160> ids;
+  MapReference ref;
+  while (ids.size() < n) {
+    const Uint160 id = rng.uniform_u160();
+    if (ref.contains(id)) continue;
+    const auto owner = static_cast<NodeIndex>(ids.size() % 32);
+    ids.push_back(id);
+    ref.insert(id, owner, false);
+  }
+  // Both write paths: one bulk load, and one ring grown by inserts.
+  FlatRing bulk;
+  FlatRing grown;
+  bulk.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto owner = static_cast<NodeIndex>(i % 32);
+    bulk.bulk_append(ids[i], owner, false);
+    grown.insert(ids[i], owner, false);
+  }
+  bulk.finalize_bulk();
+  expect_walks_match(bulk, ref);
+  expect_walks_match(grown, ref);
+  // Erase a third, then re-insert fresh ids, and compare again.
+  for (std::size_t i = 0; i < n; i += 3) {
+    bulk.erase(ids[i]);
+    grown.erase(ids[i]);
+    ref.erase(ids[i]);
+  }
+  expect_walks_match(bulk, ref);
+  expect_walks_match(grown, ref);
+  for (std::size_t i = 0; i < n / 3; ++i) {
+    const Uint160 id = rng.uniform_u160();
+    if (ref.contains(id)) continue;
+    bulk.insert(id, 7, true);
+    grown.insert(id, 7, true);
+    ref.insert(id, 7, true);
+  }
+  expect_walks_match(bulk, ref);
+  expect_walks_match(grown, ref);
+  for (int probe = 0; probe < 200; ++probe) {
+    const Uint160 point = rng.uniform_u160();
+    ASSERT_EQ(bulk.id_at(bulk.cover(point)), ref.cover(point));
+    ASSERT_EQ(grown.id_at(grown.cover(point)), ref.cover(point));
+  }
+}
+
+constexpr std::size_t kB = FlatRing::kBlockCapacity;
+INSTANTIATE_TEST_SUITE_P(Sizes, FlatRingBlockEdgeTest,
+                         ::testing::Values(kB - 1, kB, kB + 1, 2 * kB,
+                                           3 * kB + 1));
 
 }  // namespace
 }  // namespace dhtlb::sim

@@ -1,8 +1,9 @@
-// FlatRing unit coverage: the sorted-index + slot-arena container that
+// FlatRing unit coverage: the chunked sorted index + slot arena that
 // replaced the std::map ring.  Exercises both write paths (bulk load and
-// staged churn), tombstoned erases, amortized merge passes, cursor walks
-// with wrap-around, cover semantics, and the deep index_consistent()
-// check the invariant auditor relies on.
+// incremental inserts), block splits, emptied blocks returning to the
+// pool, cursor walks and covers that wrap at block edges, the handle
+// ceilings, and the deep index_consistent() check the invariant auditor
+// relies on.
 #include "sim/flat_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +21,17 @@ namespace {
 
 using support::Uint160;
 
+constexpr std::size_t kB = FlatRing::kBlockCapacity;
+
 Uint160 id(std::uint64_t v) { return Uint160{v}; }
+
+/// Ring built by ordered inserts of 10, 20, ..., 10 * n, so each block
+/// fills to capacity before the next insert splits it.
+FlatRing inserted_ring(std::size_t n) {
+  FlatRing ring;
+  for (std::uint64_t v = 1; v <= n; ++v) ring.insert(id(10 * v), 0, false);
+  return ring;
+}
 
 /// Ring pre-loaded through the bulk path with the given low-64 ids.
 FlatRing make_ring(const std::vector<std::uint64_t>& ids) {
@@ -76,62 +87,70 @@ TEST(FlatRingTest, SlotAccessorsRoundTripPayload) {
 
 TEST(FlatRingTest, SlotsStayValidAcrossUnrelatedMutations) {
   // The replacement for the old "map value pointers never move"
-  // contract: a cached Slot must survive inserts, erases, and the merge
-  // passes they trigger.
-  FlatRing ring = make_ring({100});
-  const Slot cached = ring.slot_at(ring.find(id(100)));
+  // contract: a cached Slot must survive inserts, erases, and the block
+  // splits they trigger.
+  FlatRing ring = make_ring({1000});
+  const Slot cached = ring.slot_at(ring.find(id(1000)));
   ring.tasks(cached).add(id(7777));
-  for (std::uint64_t v = 0; v < 64; ++v) {
+  for (std::uint64_t v = 0; v < 2 * kB; ++v) {
     ring.insert(id(v), 0, false);
   }
-  for (std::uint64_t v = 0; v < 64; v += 2) {
+  for (std::uint64_t v = 0; v < 2 * kB; v += 2) {
     ring.erase(id(v));
   }
-  EXPECT_GT(ring.merge_passes(), 0u);  // churn above forced folds
-  EXPECT_EQ(ring.id_of(cached), id(100));
+  EXPECT_GT(ring.block_count(), 1u);  // the inserts forced splits
+  EXPECT_EQ(ring.id_of(cached), id(1000));
   EXPECT_EQ(ring.tasks(cached).size(), 1u);
   EXPECT_TRUE(ring.index_consistent());
 }
 
-TEST(FlatRingTest, InsertLandsInStagingUntilMergeThreshold) {
-  // Large enough index that a handful of staged inserts stays under the
-  // ~sqrt(live) merge threshold.
-  std::vector<std::uint64_t> ids(400);
-  for (std::uint64_t v = 0; v < 400; ++v) ids[v] = 10 * v;
-  FlatRing ring = make_ring(ids);
-  const std::uint64_t passes_before = ring.merge_passes();
-  ring.insert(id(5), 0, false);
-  ring.insert(id(15), 0, false);
-  EXPECT_EQ(ring.staged_count(), 2u);
-  EXPECT_EQ(ring.merge_passes(), passes_before);
-  // Staged entries are fully visible to queries before any merge.
-  EXPECT_TRUE(ring.contains(id(5)));
-  EXPECT_EQ(ring.id_at(ring.next(ring.first())), id(5));
+TEST(FlatRingTest, FullBlockSplitsInHalfOnInsert) {
+  FlatRing ring = inserted_ring(kB);
+  ASSERT_EQ(ring.block_count(), 1u);
+  ring.insert(id(15), 0, false);  // lands in the lower half
+  EXPECT_EQ(ring.block_count(), 2u);
+  EXPECT_EQ(ring.size(), kB + 1);
+  EXPECT_TRUE(ring.contains(id(15)));
+  // The walk crosses the new block edge in both directions.
+  const FlatRing::Cursor edge = ring.find(id(10 * (kB / 2)));
+  EXPECT_EQ(ring.id_at(ring.next(edge)), id(10 * (kB / 2 + 1)));
+  EXPECT_EQ(ring.id_at(ring.prev(ring.next(edge))), id(10 * (kB / 2)));
+  // A second full block splits again, on an insert past the top.
+  for (std::uint64_t v = 10 * kB + 10; ring.block_count() < 3; v += 10) {
+    ring.insert(id(v), 0, false);
+  }
   EXPECT_TRUE(ring.index_consistent());
 }
 
-TEST(FlatRingTest, EraseTombstonesInPlaceAndDropsMembership) {
-  std::vector<std::uint64_t> ids(400);
-  for (std::uint64_t v = 0; v < 400; ++v) ids[v] = 10 * v;
-  FlatRing ring = make_ring(ids);
-  ring.erase(id(100));
-  EXPECT_EQ(ring.size(), 399u);
-  EXPECT_FALSE(ring.contains(id(100)));
-  EXPECT_EQ(ring.tombstone_count(), 1u);
-  // The tombstone is invisible to walks: 90's successor is now 110.
-  EXPECT_EQ(ring.id_at(ring.next(ring.find(id(90)))), id(110));
+TEST(FlatRingTest, EmptiedBlockReturnsToPoolAndIsReused) {
+  FlatRing ring = inserted_ring(kB + 1);  // blocks of kB/2 and kB/2 + 1
+  ASSERT_EQ(ring.block_count(), 2u);
+  for (std::uint64_t v = 1; v <= kB / 2; ++v) ring.erase(id(10 * v));
+  EXPECT_EQ(ring.block_count(), 1u);
+  EXPECT_EQ(ring.size(), kB / 2 + 1);
+  EXPECT_FALSE(ring.contains(id(10)));
+  EXPECT_EQ(ring.id_at(ring.first()), id(10 * (kB / 2 + 1)));
+  EXPECT_EQ(ring.id_at(ring.cover(id(0))), id(10 * (kB / 2 + 1)));
+  EXPECT_TRUE(ring.index_consistent());  // the freed block is pooled
+  // Refill past capacity: the split takes the pooled block.
+  for (std::uint64_t v = 1; v <= kB / 2; ++v) ring.insert(id(10 * v), 0, false);
+  EXPECT_EQ(ring.block_count(), 2u);
+  EXPECT_TRUE(ring.index_consistent());
+  // Erasing down to nothing leaves a valid empty ring.
+  for (std::uint64_t v = 1; v <= kB + 1; ++v) ring.erase(id(10 * v));
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.block_count(), 0u);
   EXPECT_TRUE(ring.index_consistent());
 }
 
-TEST(FlatRingTest, SustainedChurnTriggersMergePassesAndRecyclesSlots) {
+TEST(FlatRingTest, SustainedChurnSplitsBlocksAndRecyclesSlots) {
   FlatRing ring = make_ring({1, 2, 3});
   support::Rng rng(99);
   std::set<std::uint64_t> alive = {1, 2, 3};
   std::uint64_t fresh = 4;
-  // Insert-biased (2:1) so the ring grows and staging repeatedly
-  // crosses the ~sqrt(live) merge threshold; a balanced walk would
-  // hover below it and never fold.
-  for (int round = 0; round < 500; ++round) {
+  // Insert-biased (2:1) so the ring grows through several splits while
+  // erases keep recycling slots.
+  for (int round = 0; round < 6 * static_cast<int>(kB); ++round) {
     if (rng.below(3) == 0 && alive.size() > 1) {
       auto it = alive.begin();
       std::advance(it, static_cast<long>(rng.below(alive.size())));
@@ -142,7 +161,7 @@ TEST(FlatRingTest, SustainedChurnTriggersMergePassesAndRecyclesSlots) {
       alive.insert(fresh++);
     }
   }
-  EXPECT_GT(ring.merge_passes(), 0u);
+  EXPECT_GT(ring.block_count(), 1u);
   EXPECT_EQ(ring.size(), alive.size());
   std::vector<Uint160> expected;
   for (const std::uint64_t v : alive) expected.push_back(id(v));
@@ -152,7 +171,7 @@ TEST(FlatRingTest, SustainedChurnTriggersMergePassesAndRecyclesSlots) {
 
 TEST(FlatRingTest, CursorWalksWrapBothDirections) {
   FlatRing ring = make_ring({10, 20, 30});
-  ring.insert(id(25), 0, false);  // one staged entry in the middle
+  ring.insert(id(25), 0, false);  // one incremental insert in the middle
   const std::vector<Uint160> order = {id(10), id(20), id(25), id(30)};
 
   FlatRing::Cursor c = ring.first();
@@ -176,12 +195,21 @@ TEST(FlatRingTest, CoverReturnsFirstClockwiseOwnerWithWrap) {
   EXPECT_EQ(ring.id_at(ring.cover(Uint160::max())), id(10));
 }
 
-TEST(FlatRingTest, CoverSeesStagedAndSkipsTombstoned) {
-  FlatRing ring = make_ring({10, 30});
-  ring.insert(id(20), 0, false);
-  EXPECT_EQ(ring.id_at(ring.cover(id(15))), id(20));  // staged wins
-  ring.erase(id(30));
-  EXPECT_EQ(ring.id_at(ring.cover(id(25))), id(10));  // tombstone skipped
+TEST(FlatRingTest, CoverAndWalksWrapAtBlockEdges) {
+  FlatRing ring = inserted_ring(2 * kB + 1);
+  ASSERT_GE(ring.block_count(), 3u);
+  const Uint160 top = id(10 * (2 * kB + 1));
+  // Points between a block's max and the next block's min cover the
+  // next block's first entry; points above the top wrap to the first.
+  for (std::uint64_t v = 1; v <= 2 * kB + 1; ++v) {
+    EXPECT_EQ(ring.id_at(ring.cover(id(10 * v - 5))), id(10 * v));
+  }
+  EXPECT_EQ(ring.id_at(ring.cover(top + Uint160{1})), id(10));
+  EXPECT_EQ(ring.id_at(ring.next(ring.find(top))), id(10));
+  EXPECT_EQ(ring.id_at(ring.prev(ring.first())), top);
+  ring.erase(id(10));
+  ring.insert(id(5), 0, false);  // a new minimum in the first block
+  EXPECT_EQ(ring.id_at(ring.next(ring.find(top))), id(5));
   EXPECT_TRUE(ring.index_consistent());
 }
 
@@ -192,11 +220,28 @@ TEST(FlatRingTest, IndexConsistentPinsArenaDesync) {
   EXPECT_FALSE(ring.index_consistent());
 }
 
+TEST(FlatRingTest, IndexConsistentPinsSummaryDesync) {
+  FlatRing ring = make_ring({10, 20, 30});
+  ASSERT_TRUE(ring.index_consistent());
+  ASSERT_TRUE(sim::testing::FlatRingCorruptor::desync_summary(ring));
+  EXPECT_FALSE(ring.index_consistent());
+}
+
+TEST(FlatRingTest, HandleCeilingsAreChecked) {
+  // The ceilings are checked on the counts, so tripping them needs no
+  // 2^32-entry allocation.
+  EXPECT_DEATH(FlatRing::check_limits(FlatRing::kMaxBlocks + 1, 0),
+               "block ceiling");
+  EXPECT_DEATH(FlatRing::check_limits(0, FlatRing::kMaxSlots + 1),
+               "slot arena exhausted");
+  FlatRing::check_limits(FlatRing::kMaxBlocks, FlatRing::kMaxSlots);
+}
+
 TEST(FlatRingTest, InterpolatedSearchMatchesPlainSearchAtScale) {
-  // main_lower_bound switches to interpolation-guided probing above 64
-  // entries; find/cover answers must stay identical to the brute-force
-  // ordering for ids anywhere in the 160-bit space, including the skewed
-  // high bits interpolation estimates from.
+  // Searches interpolate on the block summary and inside each block;
+  // find/cover answers must stay identical to the brute-force ordering
+  // for ids anywhere in the 160-bit space, including the skewed high
+  // bits interpolation estimates from.
   support::Rng rng(4242);
   std::vector<Uint160> ids;
   FlatRing ring;

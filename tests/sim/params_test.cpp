@@ -25,6 +25,15 @@ TEST(Params, ValidateRejectsZeroNodes) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+TEST(Params, ValidateRejectsNodeCountBeyondNodeIndex) {
+  // Checked on the count alone: nothing is allocated.
+  Params p;
+  p.initial_nodes = kMaxInitialNodes;
+  EXPECT_NO_THROW(p.validate());
+  p.initial_nodes = kMaxInitialNodes + 1;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
 TEST(Params, ValidateRejectsZeroTasks) {
   Params p;
   p.total_tasks = 0;

@@ -98,23 +98,40 @@ struct WorldCorruptor {
   /// Desynchronizes the flat ring's slot arena from its sorted index
   /// (see FlatRingCorruptor).  Target check: index-integrity.
   static bool desync_ring_index(World& world);
+
+  /// Desynchronizes the flat ring's block summary from its block maxima
+  /// (see FlatRingCorruptor).  Target check: index-integrity.
+  static bool desync_ring_summary(World& world);
 };
 
-/// Backdoor into FlatRing's private halves (friend of FlatRing), for
-/// corruptions invisible to every public observer: the index keeps
-/// answering queries by its own ids, so only the index-integrity
-/// cross-reference audit can notice the arena disagrees.
+/// Backdoor into FlatRing's private parts (friend of FlatRing), for
+/// corruptions the public API makes impossible.  Only the
+/// index-integrity cross-reference audit can notice them.
 struct FlatRingCorruptor {
+  /// Rewrites one arena id behind the index's back; the index keeps
+  /// answering queries by its own ids.
   static bool desync_arena_id(FlatRing& ring) {
     if (ring.empty()) return false;
     const Slot slot = ring.slot_at(ring.first());
     ring.ids_[slot] += Uint160{1};
     return true;
   }
+
+  /// Raises the first block's summary entry above the block's largest
+  /// id, so the summary and the block maxima disagree.
+  static bool desync_summary(FlatRing& ring) {
+    if (ring.empty()) return false;
+    ring.maxes_.front() += Uint160{1};
+    return true;
+  }
 };
 
 inline bool WorldCorruptor::desync_ring_index(World& world) {
   return FlatRingCorruptor::desync_arena_id(world.ring_);
+}
+
+inline bool WorldCorruptor::desync_ring_summary(World& world) {
+  return FlatRingCorruptor::desync_summary(world.ring_);
 }
 
 }  // namespace dhtlb::sim::testing
