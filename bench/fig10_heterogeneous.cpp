@@ -14,7 +14,7 @@
 #include "support/env.hpp"
 #include "viz/ascii_hist.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("fig10_heterogeneous", "Figure 10",
@@ -61,3 +61,5 @@ int main() {
               "improvement is the weaker of the two.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fig10_heterogeneous", run); }

@@ -15,7 +15,7 @@
 #include "support/env.hpp"
 #include "viz/ascii_hist.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("fig11_12_neighbor", "Figures 11-12",
@@ -87,3 +87,5 @@ int main() {
                   smart.strategy_counters.workload_queries));
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fig11_12_neighbor", run); }

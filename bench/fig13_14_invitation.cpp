@@ -15,7 +15,7 @@
 #include "support/env.hpp"
 #include "viz/ascii_hist.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("fig13_14_invitation", "Figures 13-14",
@@ -85,3 +85,5 @@ int main() {
       static_cast<unsigned long long>(inv.strategy_counters.sybils_created));
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fig13_14_invitation", run); }

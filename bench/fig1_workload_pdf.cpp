@@ -12,7 +12,7 @@
 #include "support/table.hpp"
 #include "viz/ascii_hist.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("fig1_workload_pdf", "Figure 1",
@@ -50,3 +50,5 @@ int main() {
               summary.median, summary.mean);
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fig1_workload_pdf", run); }

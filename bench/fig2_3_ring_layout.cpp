@@ -53,7 +53,7 @@ void show(bench::Session& session, const char* cell, const char* title,
 
 }  // namespace
 
-int main() {
+static int run() {
   bench::Session session("fig2_3_ring_layout", "Figures 2-3",
                          "10 nodes / 100 tasks on the unit circle", 1);
 
@@ -97,3 +97,5 @@ int main() {
   std::printf("...\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fig2_3_ring_layout", run); }

@@ -14,7 +14,7 @@
 #include "support/env.hpp"
 #include "viz/ascii_hist.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("fig4_6_churn_histograms", "Figures 4-6",
@@ -66,3 +66,5 @@ int main() {
               churn.runtime_factor);
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fig4_6_churn_histograms", run); }

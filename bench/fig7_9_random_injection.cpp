@@ -14,7 +14,7 @@
 #include "support/env.hpp"
 #include "viz/ascii_hist.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("fig7_9_random_injection", "Figures 7-9",
@@ -71,3 +71,5 @@ int main() {
                  stats::idle_fraction(inj.snapshots[1].workloads), 0.0, 1);
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fig7_9_random_injection", run); }

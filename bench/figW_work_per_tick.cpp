@@ -12,7 +12,7 @@
 #include "support/env.hpp"
 #include "viz/series.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("figW_work_per_tick", "Work per tick (SS V-C output)",
@@ -52,3 +52,5 @@ int main() {
       "tasks/tick — that area difference IS the runtime-factor gap.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("figW_work_per_tick", run); }

@@ -49,7 +49,7 @@ std::uint64_t fold_result(std::uint64_t fold,
 
 }  // namespace
 
-int main() {
+static int run() {
   bench::Telemetry telemetry("fuzz_throughput");
   const std::uint64_t seed = support::env_seed();
   // 5 scripts per trial: DHTLB_TRIALS=2 (the smoke/baseline setting)
@@ -127,3 +127,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("fuzz_throughput", run); }

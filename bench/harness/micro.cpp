@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "harness/telemetry.hpp"
+#include "support/env.hpp"
 
 namespace dhtlb::bench {
 
@@ -34,13 +35,15 @@ class TelemetryReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int micro_main(const char* experiment, int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  Telemetry telemetry(experiment);
-  TelemetryReporter reporter(telemetry);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  return 0;  // telemetry flushes on destruction
+  return support::run_main(experiment, [&] {
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    Telemetry telemetry(experiment);
+    TelemetryReporter reporter(telemetry);
+    benchmark::RunSpecifiedBenchmarks(&reporter);
+    benchmark::Shutdown();
+    return 0;  // telemetry flushes on destruction
+  });
 }
 
 }  // namespace dhtlb::bench

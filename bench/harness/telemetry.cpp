@@ -76,7 +76,7 @@ double calibrate_ms() {
 }
 
 Telemetry::Telemetry(std::string experiment)
-    : experiment_(std::move(experiment)) {}
+    : experiment_(std::move(experiment)), seed_(support::env_seed()) {}
 
 Telemetry::~Telemetry() { flush(); }
 
@@ -89,7 +89,7 @@ void Telemetry::record(const std::string& cell, const std::string& metric,
   r.metric = metric;
   r.value = value;
   r.wall_ms = deterministic() ? 0.0 : wall_ms;
-  r.seed = support::env_seed();
+  r.seed = seed_;
   r.trials = trials;
   r.peak_rss_bytes = deterministic() ? 0 : peak_rss_bytes;
   support::MutexLock lock(mu_);
@@ -146,7 +146,7 @@ bool Telemetry::flush() {
     cal.metric = "splitmix64_20m_ms";
     cal.value = calibrate_ms();
     cal.wall_ms = cal.value;
-    cal.seed = support::env_seed();
+    cal.seed = seed_;
     cal.trials = 1;
     out.insert(out.begin(), std::move(cal));
   }

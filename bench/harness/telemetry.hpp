@@ -89,13 +89,16 @@ class WallTimer {
 /// from the coordinating thread after each fan completes.
 class Telemetry {
  public:
+  /// Reads DHTLB_SEED once, here, for every record: a malformed value
+  /// throws from the constructor, so the flush in the destructor never
+  /// meets it.
   explicit Telemetry(std::string experiment);
   ~Telemetry();  // flushes if not already flushed
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Appends one record.  `seed` defaults to support::env_seed();
+  /// Appends one record, stamped with the constructor's seed;
   /// wall_ms (and peak_rss_bytes, when given) are zeroed when
   /// DHTLB_BENCH_DETERMINISTIC is set.
   void record(const std::string& cell, const std::string& metric,
@@ -124,6 +127,7 @@ class Telemetry {
 
  private:
   std::string experiment_;
+  std::uint64_t seed_;
   mutable support::Mutex mu_;
   std::vector<Record> records_ GUARDED_BY(mu_);
   bool flushed_ GUARDED_BY(mu_) = false;

@@ -122,12 +122,4 @@ class Session {
   Telemetry telemetry_;
 };
 
-/// One mean-runtime-factor cell (legacy helper for callers that manage
-/// their own pool; Session::mean_factor also records telemetry).
-inline double mean_factor(const sim::Params& params, const char* strategy,
-                          std::size_t trials, support::ThreadPool& pool) {
-  return exp::run_trials(params, strategy, trials, support::env_seed(), &pool)
-      .runtime_factor.mean;
-}
-
 }  // namespace dhtlb::bench

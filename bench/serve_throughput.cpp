@@ -1,5 +1,5 @@
 // serve_throughput — reader-scaling curve of the serving plane
-// (DESIGN.md §9 "Serving plane"): batched key lookups over RCU ring
+// (DESIGN.md §9 "Serving plane"): batched key lookups over frozen ring
 // snapshots while the sharded tick engine churns underneath.
 //
 // For each traffic model (uniform, zipf, hotspot) the same (params,
@@ -50,7 +50,7 @@ std::uint64_t fingerprint(const serve::Report& rep) {
 
 }  // namespace
 
-int main() {
+static int run() {
   bench::Telemetry telemetry("serve_throughput");
   const std::uint64_t seed = support::env_seed();
   const int ticks = 30;
@@ -153,3 +153,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("serve_throughput", run); }

@@ -16,7 +16,7 @@
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("table1_distribution", "Table I",
@@ -70,3 +70,5 @@ int main() {
       "sigma ~= mean workload.  Both should track the paper closely.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("table1_distribution", run); }

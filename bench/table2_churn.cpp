@@ -11,7 +11,7 @@
 
 #include "repro_util.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("table2_churn", "Table II",
@@ -73,3 +73,5 @@ int main() {
       "grow with the task count; smaller networks start from a lower base.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("table2_churn", run); }

@@ -12,7 +12,7 @@
 
 #include "repro_util.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("tableA_ablations", "Ablations (SS VI-B.1, VI-C)",
@@ -106,3 +106,5 @@ int main() {
   std::printf("%s\n", table.render().c_str());
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableA_ablations", run); }

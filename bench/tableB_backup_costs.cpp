@@ -65,7 +65,7 @@ double repair_traffic_per_tick(double rate, std::size_t n,
 
 }  // namespace
 
-int main() {
+static int run() {
   bench::Session session("tableB_backup_costs",
                          "Backup costs (SS VI-A footnote)",
                          "churn gains vs replica-repair traffic", 6);
@@ -104,3 +104,5 @@ int main() {
       "where the last column blows up.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableB_backup_costs", run); }

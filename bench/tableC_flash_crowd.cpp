@@ -56,7 +56,7 @@ FlashResult run_flash(const char* strategy, std::size_t burst,
 
 }  // namespace
 
-int main() {
+static int run() {
   bench::Session session("tableC_flash_crowd", "Flash crowd (SS VII / SS I)",
                          "late joiners absorbing an in-flight job", 40);
   const std::size_t trials = session.trials();
@@ -96,3 +96,5 @@ int main() {
       "the crowd is folded in even faster.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableC_flash_crowd", run); }

@@ -10,18 +10,16 @@
 // horizon keeps the lane's wall time predictable across strategies.
 //
 // Env knobs: DHTLB_DENSE_NODES (default 10k; nightly sets 1M),
-// DHTLB_DENSE_TICKS (default 100), DHTLB_DENSE_PROVISIONING
-// ("streamed", the default, or "preallocated"), DHTLB_TRIALS,
-// DHTLB_SEED, DHTLB_THREADS (nightly sets 0 = all cores; outputs are
-// thread-count independent so the committed baseline still gates
-// values bit-for-bit).
+// DHTLB_TRIALS, DHTLB_SEED, DHTLB_THREADS (nightly sets 0 = all cores;
+// outputs are thread-count independent so the committed baseline still
+// gates values bit-for-bit).  The horizon is a fixed 100 ticks.
 //
-// Provisioning: preallocated mode materializes 2*nodes*horizon keys at
+// Provisioning is streamed: the job arrives through a sim::TaskStream
+// at a rate matched to capacity, so resident tasks track the backlog
+// and the full 1M all-strategy grid fits a standard runner.
+// Preallocating the same job would materialize 2*nodes*horizon keys at
 // tick 0 — ~10 GiB at 1M nodes, which is what kept the nightly grid at
-// 100k (EXPERIMENTS.md "Memory trajectory").  Streamed mode (the
-// default) delivers the same job through a sim::TaskStream at an
-// arrival rate matched to capacity, so resident tasks track the
-// backlog and the full 1M all-strategy grid fits a standard runner.
+// 100k (EXPERIMENTS.md "Memory trajectory").
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -33,7 +31,6 @@
 #include "sim/params.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/load_metrics.hpp"
-#include "support/check.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -42,30 +39,24 @@ namespace {
 
 using namespace dhtlb;
 
+constexpr std::uint64_t kHorizon = 100;  // ticks every cell runs
+
 }  // namespace
 
-int main() {
+static int run() {
   bench::Telemetry telemetry("tableD_dense_scale");
   const std::uint64_t base_seed = support::env_seed();
   const std::size_t nodes = static_cast<std::size_t>(
       support::env_u64("DHTLB_DENSE_NODES", 10'000));
-  const std::uint64_t horizon = support::env_u64("DHTLB_DENSE_TICKS", 100);
   const std::uint64_t trials = support::env_trials(3);
   const std::size_t threads = support::env_threads();
-  const std::string provisioning =
-      support::env_string("DHTLB_DENSE_PROVISIONING", "streamed");
-  const bool streamed = provisioning == "streamed";
-  DHTLB_CHECK(streamed || provisioning == "preallocated",
-              "DHTLB_DENSE_PROVISIONING must be 'streamed' or "
-              "'preallocated', got '" << provisioning << "'");
 
   std::printf("=== tableD_dense_scale — all strategies under churn ===\n");
   std::printf("%zu nodes, %llu-tick horizon, %llu trial(s), seed %llu, "
-              "%s provisioning\n\n",
-              nodes, static_cast<unsigned long long>(horizon),
+              "streamed provisioning\n\n",
+              nodes, static_cast<unsigned long long>(kHorizon),
               static_cast<unsigned long long>(trials),
-              static_cast<unsigned long long>(base_seed),
-              provisioning.c_str());
+              static_cast<unsigned long long>(base_seed));
 
   support::TextTable table({"strategy", "done frac", "gini", "stddev",
                             "joins+leaves", "wall ms"});
@@ -94,18 +85,16 @@ int main() {
       // Twice the horizon's aggregate capacity: the ring is still under
       // load when we measure, so the balance metrics see live imbalance
       // rather than a drained ring.
-      p.total_tasks = 2 * nodes * horizon;
+      p.total_tasks = 2 * nodes * kHorizon;
       p.churn_rate = 0.02;
-      p.max_ticks = horizon;
-      if (streamed) {
-        // Auto arrival window (= the ideal runtime): arrivals flow at
-        // exactly the initial capacity, so the ring is under steady
-        // per-tick load for the whole horizon while the resident
-        // backlog stays bounded — that bound is what lets this lane
-        // run at 1M nodes inside a CI runner's memory budget.
-        p.provisioning = sim::TaskProvisioning::kStreamed;
-        p.arrival_ticks = 0;
-      }
+      p.max_ticks = kHorizon;
+      // Auto arrival window (= the ideal runtime): arrivals flow at
+      // exactly the initial capacity, so the ring is under steady
+      // per-tick load for the whole horizon while the resident backlog
+      // stays bounded — that bound is what lets this lane run at 1M
+      // nodes inside a CI runner's memory budget.
+      p.provisioning = sim::TaskProvisioning::kStreamed;
+      p.arrival_ticks = 0;
 
       sim::Engine engine(p, support::mix_seed(base_seed, trial),
                          lb::make_strategy(strategy));
@@ -114,7 +103,7 @@ int main() {
       // Hold the horizon even if the task pool drains: the lane measures
       // the ring under sustained churn, not time-to-completion.
       engine.set_pre_tick_hook(
-          [horizon](std::uint64_t tick) { return tick <= horizon; });
+          [](std::uint64_t tick) { return tick <= kHorizon; });
       const sim::RunResult result = engine.run();
 
       const sim::World& world = engine.world();
@@ -162,3 +151,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableD_dense_scale", run); }

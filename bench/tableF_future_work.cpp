@@ -14,7 +14,7 @@
 #include "lb/factory.hpp"
 #include "repro_util.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("tableF_future_work", "Future work (SS VII)",
@@ -72,3 +72,5 @@ int main() {
       "approaching 1.0 bounds what ID choice alone can buy.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableF_future_work", run); }

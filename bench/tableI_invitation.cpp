@@ -10,7 +10,7 @@
 #include "repro_util.hpp"
 #include "stats/load_metrics.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("tableI_invitation", "Table I' (SS VI-D text)",
@@ -82,3 +82,5 @@ int main() {
               small.runtime_factor.mean, large.runtime_factor.mean);
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableI_invitation", run); }

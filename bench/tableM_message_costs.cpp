@@ -18,7 +18,7 @@
 #include "support/env.hpp"
 #include "support/table.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("tableM_message_costs",
@@ -87,3 +87,5 @@ int main() {
       "    (src/sim), validating its idealizations.\n");
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableM_message_costs", run); }

@@ -9,7 +9,7 @@
 
 #include "repro_util.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("tableN_neighbor", "Table N (SS VI-C text)",
@@ -70,3 +70,5 @@ int main() {
               h10 - h5);
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableN_neighbor", run); }

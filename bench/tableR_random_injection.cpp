@@ -9,7 +9,7 @@
 
 #include "repro_util.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   bench::Session session("tableR_random_injection", "Table R (SS VI-B text)",
@@ -61,3 +61,5 @@ int main() {
               large_ratio - small_ratio);
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableR_random_injection", run); }

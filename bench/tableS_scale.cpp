@@ -21,7 +21,7 @@
 #include "support/env.hpp"
 #include "support/table.hpp"
 
-int main() {
+static int run() {
   using namespace dhtlb;
 
   const std::uint64_t max_nodes =
@@ -87,3 +87,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tableS_scale", run); }

@@ -30,7 +30,7 @@ using namespace dhtlb;
 
 }  // namespace
 
-int main() {
+static int run() {
   bench::Telemetry telemetry("task_stream");
   const std::uint64_t seed = support::env_seed();
   std::printf("=== task_stream — streamed provisioning draw throughput ===\n");
@@ -103,3 +103,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("task_stream", run); }

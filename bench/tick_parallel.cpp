@@ -52,7 +52,7 @@ std::uint64_t fingerprint(const sim::Engine& engine) {
 
 }  // namespace
 
-int main() {
+static int run() {
   bench::Telemetry telemetry("tick_parallel");
   const std::uint64_t seed = support::env_seed();
   const std::size_t max_nodes = static_cast<std::size_t>(
@@ -137,3 +137,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return dhtlb::support::run_main("tick_parallel", run); }

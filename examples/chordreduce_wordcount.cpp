@@ -53,7 +53,7 @@ sim::RunResult time_phase(std::size_t nodes, std::uint64_t tasks,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const std::size_t nodes =
       argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 200;
   const std::size_t chunks =
@@ -126,4 +126,9 @@ int main(int argc, char** argv) {
               "setting)\n",
               chunks, reducers);
   return correct ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return dhtlb::support::run_main("chordreduce_wordcount",
+                                  [&] { return run(argc, argv); });
 }

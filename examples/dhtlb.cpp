@@ -381,7 +381,7 @@ int scenario_cmd(const CliParser& cli) {
 // --- serve ------------------------------------------------------------------
 //
 // Replays a sim-substrate scenario while N reader threads resolve key
-// lookups against RCU ring snapshots.  The telemetry (lookup and batch
+// lookups against frozen ring snapshots.  The telemetry (lookup and batch
 // counts, hop statistics, Sybil-absorption fraction, owner-hit skew,
 // view-lifecycle counters) is a pure function of (scenario, seed,
 // --traffic, --qps, --keys): --readers and DHTLB_THREADS never change a
@@ -709,7 +709,7 @@ constexpr Subcommand kSubcommands[] = {
      "BENCH_scenario_<name>.json telemetry.",
      add_replay_flags},
     {"serve", "dhtlb serve <scenario.scn>",
-     "Replay a sim scenario with concurrent key-lookup serving over RCU "
+     "Replay a sim scenario with concurrent key-lookup serving over frozen "
      "ring snapshots; emit BENCH_serve_<name>.json telemetry.",
      serve_flags},
     {"fuzz", "dhtlb fuzz",

@@ -24,7 +24,7 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace dhtlb;
 
   const std::size_t peers =
@@ -136,4 +136,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(relocated));
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dhtlb::support::run_main("filesharing_churn",
+                                  [&] { return run(argc, argv); });
 }

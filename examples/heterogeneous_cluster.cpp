@@ -18,7 +18,7 @@
 #include "support/env.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace dhtlb;
 
   sim::Params params;
@@ -80,4 +80,9 @@ int main(int argc, char** argv) {
       "cluster, but less than a homogeneous one, and the wider strength\n"
       "range (maxSybils 10) is slower than the narrow one.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dhtlb::support::run_main("heterogeneous_cluster",
+                                  [&] { return run(argc, argv); });
 }

@@ -15,7 +15,7 @@
 #include "support/thread_pool.hpp"
 #include "viz/ascii_hist.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace dhtlb;
 
   sim::Params params;
@@ -61,4 +61,9 @@ int main(int argc, char** argv) {
                     .c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dhtlb::support::run_main("strategy_comparison",
+                                  [&] { return run(argc, argv); });
 }

@@ -37,8 +37,7 @@ class TrialSlots {
   std::vector<sim::RunResult> slots_ GUARDED_BY(mu_);
 };
 
-// Folds per-trial results into the Aggregate.  Shared by run_trials and
-// run_cells so the two fans produce bit-identical aggregates.
+// Folds one cell's per-trial results into its Aggregate.
 Aggregate aggregate_results(const sim::Params& params,
                             std::string_view strategy_name,
                             const std::vector<sim::RunResult>& results) {
@@ -90,18 +89,8 @@ Aggregate aggregate_results(const sim::Params& params,
 Aggregate run_trials(const sim::Params& params, std::string_view strategy_name,
                      std::size_t trials, std::uint64_t base_seed,
                      support::ThreadPool* pool) {
-  TrialSlots results(trials);
-  auto run_one = [&](std::size_t i) {
-    sim::Engine engine(params, support::mix_seed(base_seed, i),
-                       lb::make_strategy(strategy_name));
-    results.store(i, engine.run());
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(trials, run_one);
-  } else {
-    for (std::size_t i = 0; i < trials; ++i) run_one(i);
-  }
-  return aggregate_results(params, strategy_name, results.take());
+  return run_cells({{params, std::string(strategy_name), trials}}, base_seed,
+                   pool)[0];
 }
 
 std::vector<Aggregate> run_cells(const std::vector<CellSpec>& cells,

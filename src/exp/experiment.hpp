@@ -38,8 +38,9 @@ struct Aggregate {
 };
 
 /// Runs `trials` simulations of `params` under `strategy_name` (a
-/// lb::make_strategy name) and aggregates.  `pool` may be null for
-/// serial execution.  Trial i uses seed mix(base_seed, i).
+/// lb::make_strategy name) and aggregates: run_cells with one cell.
+/// `pool` may be null for serial execution.  Trial i uses seed
+/// mix(base_seed, i).
 Aggregate run_trials(const sim::Params& params, std::string_view strategy_name,
                      std::size_t trials, std::uint64_t base_seed,
                      support::ThreadPool* pool = nullptr);

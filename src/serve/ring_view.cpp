@@ -6,10 +6,8 @@
 
 namespace dhtlb::serve {
 
-RingView RingView::freeze(const sim::World& world, std::uint64_t tick) {
+RingView RingView::freeze(const sim::World& world) {
   RingView view;
-  view.tick_ = tick;
-  view.owner_count_ = world.physical_count();
   const std::size_t n = world.vnode_count();
   DHTLB_CHECK(n > 0, "RingView::freeze: ring is empty");
   view.ids_.reserve(n);

@@ -1,13 +1,12 @@
 // RingView: an immutable snapshot of the simulated ring, built once at a
 // tick barrier and consumed lock-free by any number of reader threads.
 //
-// The serving plane (DESIGN.md "Serving plane") follows the RCU pattern
-// Envoy's ring-hash balancer describes — "generate the rings centrally
-// and then just RCU them out to each thread": the tick engine freezes
-// the flat ring into this struct-of-arrays copy after each tick, the
-// ViewPublisher swaps it in atomically, and readers route key lookups
-// against whichever view they hold without ever touching a lock or the
-// live (mutating) World.
+// The serving plane (DESIGN.md "Serving plane") freezes the flat ring
+// into this struct-of-arrays copy at each tick barrier, and the
+// serve::Service's reader jobs route key lookups against it while the
+// engine computes the next tick — without ever touching a lock or the
+// live (mutating) World.  The Service owns the one view in flight and
+// releases it at the next barrier, once every reader of it is joined.
 //
 // A view answers two questions:
 //   * cover(key)  — which vnode owns this key?  Identical semantics to
@@ -45,18 +44,10 @@ class RingView {
   static constexpr std::uint32_t kMaxHops = 200;
 
   /// Freezes the world's ring into an immutable snapshot.  O(ring).
-  /// `tick` labels the view (0 = pre-run state).  The ring must be
-  /// non-empty (a live World always is).
-  static RingView freeze(const sim::World& world, std::uint64_t tick);
+  /// The ring must be non-empty (a live World always is).
+  static RingView freeze(const sim::World& world);
 
-  std::uint64_t tick() const { return tick_; }
   std::size_t size() const { return ids_.size(); }
-  bool empty() const { return ids_.empty(); }
-
-  /// Physical-node count at freeze time.  Fixed for a whole run (the
-  /// waiting pool is preallocated), so per-owner hit arrays sized once
-  /// stay valid across every view of the run.
-  std::size_t owner_count() const { return owner_count_; }
 
   const Uint160& id_at(std::size_t i) const { return ids_[i]; }
   NodeIndex owner_at(std::size_t i) const { return owners_[i]; }
@@ -66,11 +57,6 @@ class RingView {
   /// vnode clockwise at or after it, wrapping past zero — exactly
   /// FlatRing::cover on the frozen ring.
   std::size_t cover(const Uint160& key) const;
-
-  /// Clockwise neighbor, wrapping — the successor walk on the snapshot.
-  std::size_t next(std::size_t i) const {
-    return i + 1 == ids_.size() ? 0 : i + 1;
-  }
 
   struct Route {
     std::size_t index = 0;   // the covering vnode (== cover(key))
@@ -91,8 +77,6 @@ class RingView {
   std::vector<Uint160> ids_;
   std::vector<NodeIndex> owners_;
   std::vector<std::uint8_t> sybils_;
-  std::size_t owner_count_ = 0;
-  std::uint64_t tick_ = 0;
 };
 
 }  // namespace dhtlb::serve

@@ -61,7 +61,7 @@ std::uint64_t Service::shard_quota(std::size_t shard) const {
 }
 
 void Service::attach(sim::Engine& engine) {
-  DHTLB_CHECK(!batch_in_flight_,
+  DHTLB_CHECK(!view_.has_value(),
               "Service::attach: already attached to a run");
   // Owner-hit arrays span the physical population, which is fixed for
   // the whole run (the waiting pool is preallocated at construction).
@@ -70,13 +70,7 @@ void Service::attach(sim::Engine& engine) {
     acc.owner_hits.assign(owners, 0);
   }
   // View 0: the pre-run ring, so traffic flows from the first tick on.
-  auto view = std::make_shared<const RingView>(
-      RingView::freeze(engine.world(), 0));
-  publisher_.publish(view);
-  if (metrics_) {
-    metrics_->set(ids_.view_vnodes, static_cast<double>(view->size()));
-  }
-  dispatch(std::move(view), 0);
+  freeze_and_dispatch(engine.world(), 0);
   engine.set_post_tick_hook([this, &engine](std::uint64_t tick) {
     on_tick_barrier(engine.world(), tick);
   });
@@ -84,38 +78,39 @@ void Service::attach(sim::Engine& engine) {
 
 void Service::on_tick_barrier(const sim::World& world, std::uint64_t tick) {
   collect_batch();
-  auto view =
-      std::make_shared<const RingView>(RingView::freeze(world, tick));
+  // Every job that read the previous view has been joined by
+  // collect_batch's wait_idle(), so it can go before the next freeze.
+  view_.reset();
+  ++views_.reclaimed;
   if (trace_) {
     trace_->instant("view_publish", "serve",
-                    {{"vnodes", view->size()}});
+                    {{"vnodes", world.vnode_count()}});
   }
-  publisher_.publish(view);
+  freeze_and_dispatch(world, tick);
   if (metrics_) {
-    metrics_->set(ids_.view_vnodes, static_cast<double>(view->size()));
     metrics_->set(ids_.views_retired,
-                  static_cast<double>(publisher_.stats().reclaimed));
+                  static_cast<double>(views_.reclaimed));
   }
-  dispatch(std::move(view), tick);
 }
 
-void Service::dispatch(std::shared_ptr<const RingView> view,
-                       std::uint64_t tick) {
+void Service::freeze_and_dispatch(const sim::World& world,
+                                  std::uint64_t tick) {
   DHTLB_ASSERT(!batch_in_flight_,
-               "Service::dispatch: previous batch not collected");
-  // The Service owns the batch's view reference; jobs get a raw pointer
-  // (valid until collect_batch resets batch_view_ after wait_idle).
-  // Keeping ownership here — instead of one shared_ptr copy per job —
-  // makes view refcounts a pure barrier-thread affair, so epoch
-  // retirement counts are deterministic.
-  batch_view_ = std::move(view);
-  batch_tick_ = tick;
+               "Service::freeze_and_dispatch: previous batch not collected");
+  view_ = RingView::freeze(world);
+  ++views_.published;
+  views_.retire_depth_max = std::max<std::uint64_t>(
+      views_.retire_depth_max, views_.published - views_.reclaimed);
+  if (metrics_) {
+    metrics_->set(ids_.view_vnodes, static_cast<double>(view_->size()));
+  }
   batch_in_flight_ = true;
-  const RingView* raw = batch_view_.get();
   for (std::size_t s = 0; s < kServeShards; ++s) {
     accums_[s].batch_lookups = 0;
     accums_[s].batch_hops = 0;
-    readers_->submit([this, raw, tick, s] { serve_shard(s, *raw, tick); });
+    readers_->submit([this, &view = *view_, tick, s] {
+      serve_shard(s, view, tick);
+    });
   }
 }
 
@@ -163,9 +158,6 @@ void Service::collect_batch() {
   if (!batch_in_flight_) return;
   readers_->wait_idle();
   batch_in_flight_ = false;
-  // Release the batch's view reference before the next publish, so a
-  // view retired there is provably quiescent and reclaimed on the spot.
-  batch_view_.reset();
   ++batches_;
   std::uint64_t lookups = 0;
   std::uint64_t hops = 0;
@@ -233,7 +225,7 @@ Report Service::report() const {
     rep.owner_hits_gini = stats::gini(hit);
     rep.owner_hits_max_over_mean = stats::max_over_mean(hit);
   }
-  rep.views = publisher_.stats();
+  rep.views = views_;
   if (config_.measure_latency && rep.lookups > 0) {
     // Bucket b holds latencies with bit_width(ns) == b; report the
     // bucket's lower bound (2^(b-1) ns) — coarse but monotone.

@@ -1,14 +1,14 @@
-// The serving plane: batched key lookups over published ring snapshots,
+// The serving plane: batched key lookups over frozen ring snapshots,
 // running concurrently with the tick engine.
 //
 // Pipeline (one writer — the engine thread — plus `readers` workers):
 //
-//   attach(engine)            publish view 0, dispatch batch 0
+//   attach(engine)            freeze view 0, dispatch batch 0
 //   tick t barrier (post-tick hook):
 //     1. wait for batch t-1's shard jobs, fold its per-batch stats
 //        (this is where serve metrics for the tick land — one tick of
 //        lag by construction, documented in OBSERVABILITY.md)
-//     2. freeze the post-tick world into RingView t, publish it
+//     2. release view t-1, freeze the post-tick world into view t
 //     3. dispatch batch t across the serve shards
 //   ...engine computes tick t+1 while the readers serve batch t...
 //   drain()                   wait for + fold the final batch
@@ -29,21 +29,21 @@
 // dispatches; the ThreadPool's submit/wait_idle pair provides the
 // happens-before edges, so the accumulators need no locks (and carry no
 // capability annotations — they are phase-owned, not lock-guarded).
-// The RingView handoff is the annotated part: ViewPublisher under its
-// SharedMutex.  Jobs receive a raw pointer to the batch view; the
-// Service keeps the owning shared_ptr in batch_view_ until the batch is
-// collected, then releases it before the next publish so epoch
-// retirement stays exact.
+// The batch's RingView follows the same rule: the Service owns the one
+// view in flight (view_), jobs get a const reference to it, and it is
+// released only at the next barrier, after wait_idle() has joined every
+// job that read it and before the next freeze.  That barrier is the
+// whole handoff — no lock and no refcount.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/publisher.hpp"
 #include "serve/ring_view.hpp"
 #include "serve/traffic.hpp"
 #include "sim/engine.hpp"
@@ -71,6 +71,16 @@ struct Config {
   bool measure_latency = false;
 };
 
+/// Ring views the Service froze and released over a run.  Each view is
+/// released at the barrier after its batch, so a run of T ticks ends
+/// with published == T + 1, reclaimed == T (the last view stays current
+/// until the Service is destroyed) and retire_depth_max == 1.
+struct ViewStats {
+  std::uint64_t published = 0;         // views frozen (one per batch)
+  std::uint64_t reclaimed = 0;         // views released after their batch
+  std::uint64_t retire_depth_max = 0;  // most views alive at once
+};
+
 /// Folded end-of-run serve statistics.  Everything except the latency
 /// fields is deterministic in (params, scenario, seed, config).
 struct Report {
@@ -88,7 +98,7 @@ struct Report {
   std::uint64_t owners_hit = 0;    // distinct owners that served >= 1
   double owner_hits_gini = 0.0;    // over owners with >= 1 hit
   double owner_hits_max_over_mean = 0.0;
-  ViewPublisher::Stats views;
+  ViewStats views;
   /// Wall-clock per-lookup latency (ns), from log2-bucket histograms;
   /// all zero unless Config::measure_latency.
   double latency_p50_ns = 0.0;
@@ -114,13 +124,14 @@ class Service {
   void set_metrics(obs::MetricsRegistry* metrics);
   void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
-  /// Publishes the pre-run view (tick 0), dispatches its batch, and
+  /// Freezes the pre-run view (tick 0), dispatches its batch, and
   /// installs the engine's post-tick hook.  Call once, before run().
   void attach(sim::Engine& engine);
 
   /// The tick barrier (the engine's post-tick hook target): collect the
-  /// in-flight batch, publish the post-tick view, dispatch the next
-  /// batch.  Public for tests and custom drivers.
+  /// in-flight batch, release its view, freeze the post-tick view,
+  /// dispatch the next batch.  Public for callers that install their
+  /// own post-tick hook.
   void on_tick_barrier(const sim::World& world, std::uint64_t tick);
 
   /// Waits for and folds the final batch.  Idempotent; call after the
@@ -131,13 +142,11 @@ class Service {
   /// end-of-run report.  Call after drain().
   Report report() const;
 
-  const ViewPublisher& publisher() const { return publisher_; }
-
  private:
   static constexpr std::size_t kHopBuckets = 64;   // exact counts 0..62, 63+
   static constexpr std::size_t kLatBuckets = 64;   // log2(ns) buckets
 
-  void dispatch(std::shared_ptr<const RingView> view, std::uint64_t tick);
+  void freeze_and_dispatch(const sim::World& world, std::uint64_t tick);
   void collect_batch();
   void serve_shard(std::size_t shard, const RingView& view,
                    std::uint64_t tick);
@@ -162,15 +171,14 @@ class Service {
   Config config_;
   std::uint64_t serve_seed_;
   KeyStream stream_;
-  ViewPublisher publisher_;
   std::unique_ptr<support::ThreadPool> readers_;
   std::array<ShardAccum, kServeShards> accums_;
 
   // Barrier-thread state.
-  std::shared_ptr<const RingView> batch_view_;  // owns the in-flight view
-  std::uint64_t batch_tick_ = 0;
+  std::optional<RingView> view_;  // the in-flight (or last) batch's view
   bool batch_in_flight_ = false;
   std::uint64_t batches_ = 0;
+  ViewStats views_;
 
   // Observability (nullable).
   obs::TraceSink* trace_ = nullptr;

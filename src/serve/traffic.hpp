@@ -9,10 +9,10 @@
 //             Balancing in Heterogeneous Dynamic Networks", PAPERS.md);
 //             the universe keys are SHA-1 hashes of their rank, so the
 //             popular keys scatter uniformly around the ring.
-//   hotspot — a fraction of the probability mass lands uniformly inside
-//             one narrow ring arc (position derived from the run seed),
-//             the rest is uniform.  Models a flash crowd parked on one
-//             key range — the adversarial case for ring balance.
+//   hotspot — 90% of the probability mass lands uniformly inside one
+//             arc of 1/64 of the ring (position derived from the run
+//             seed), the rest is uniform.  Models a flash crowd parked
+//             on one key range — the adversarial case for ring balance.
 //
 // Determinism: a KeyStream is immutable after construction (shared by
 // all serve shards); every draw's randomness comes from the caller's
@@ -50,10 +50,6 @@ struct TrafficConfig {
   /// Zipf universe size (distinct keys), in [1, kMaxKeyUniverse];
   /// KeyStream's constructor DHTLB_CHECKs the range.
   std::uint64_t key_universe = 100000;
-  /// Hotspot: probability a draw lands inside the hot arc.
-  double hotspot_fraction = 0.9;
-  /// Hotspot: hot-arc width as a fraction of the ring (in (0, 1)).
-  double hotspot_arc = 0.015625;  // 1/64 of the key space
 };
 
 /// An immutable, shareable key source.  Construction precomputes the
@@ -67,8 +63,6 @@ class KeyStream {
   KeyStream(Traffic traffic, const TrafficConfig& config,
             std::uint64_t run_seed);
 
-  Traffic traffic() const { return traffic_; }
-
   /// Draws one lookup key using the caller's RNG stream.
   Uint160 draw(support::Rng& rng) const;
 
@@ -78,11 +72,10 @@ class KeyStream {
 
  private:
   Traffic traffic_;
-  double hotspot_fraction_ = 0.0;
   // Zipf: cdf_[r] = P(rank <= r); keys_[r] = SHA-1(rank r).
   std::vector<double> cdf_;
   std::vector<Uint160> keys_;
-  // Hotspot arc [hot_start_, hot_end_), width = hotspot_arc of the ring.
+  // Hotspot arc [hot_start_, hot_end_), 1/64 of the ring wide.
   Uint160 hot_start_;
   Uint160 hot_end_;
 };

@@ -1,5 +1,6 @@
 #include "support/env.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -45,6 +46,15 @@ bool env_flag(const std::string& name, bool fallback) {
   if (raw == nullptr || *raw == '\0') return fallback;
   const std::string v(raw);
   return !(v == "0" || v == "false" || v == "off");
+}
+
+int run_main(const char* program, const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+    return 2;
+  }
 }
 
 }  // namespace dhtlb::support

@@ -1,4 +1,5 @@
-// Environment-variable knobs shared by the bench/reproduction binaries.
+// Environment-variable knobs shared by the bench/reproduction binaries,
+// and the entry point that turns a malformed one into a usage error.
 //
 // The paper averages most cells over 100 trials.  Full fidelity is
 // reproducible here but takes a while on a laptop, so each reproduction
@@ -11,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace dhtlb::support {
@@ -41,5 +43,11 @@ std::string env_string(const std::string& name, const std::string& fallback);
 /// Reads a boolean env var: "0"/"false"/"off" → false, anything else
 /// non-empty → true, unset/empty → fallback.
 bool env_flag(const std::string& name, bool fallback);
+
+/// Runs `body` as the main of `program`.  A std::invalid_argument it
+/// throws — a malformed DHTLB_* variable, say — prints
+/// `<program>: <reason>` to stderr and returns 2, the exit code `dhtlb`
+/// gives bad input, instead of aborting through std::terminate.
+int run_main(const char* program, const std::function<int()>& body);
 
 }  // namespace dhtlb::support

@@ -1,7 +1,6 @@
 // Thread-safety-annotated synchronization primitives.
 //
-// Every mutex in this repo is a dhtlb::support::Mutex (or SharedMutex),
-// and every piece of state it guards is marked GUARDED_BY, so the
+// Every mutex in this repo is a dhtlb::support::Mutex, and every piece of state it guards is marked GUARDED_BY, so the
 // locking contract is part of the type system instead of a comment.
 // Under Clang the annotations compile to -Wthread-safety capability
 // checks — enabled as -Werror=thread-safety by the top-level
@@ -19,8 +18,7 @@
 //   SCOPED_CAPABILITY    RAII type that acquires in ctor, releases in dtor
 //   GUARDED_BY(mu)       data member readable/writable only under mu
 //   PT_GUARDED_BY(mu)    pointee guarded by mu (the pointer itself is not)
-//   REQUIRES(mu)         caller must hold mu (exclusive) to call this
-//   REQUIRES_SHARED(mu)  caller must hold mu at least shared
+//   REQUIRES(mu)         caller must hold mu to call this
 //   ACQUIRE(mu)…         function acquires/releases mu itself
 //   EXCLUDES(mu)         caller must NOT hold mu (deadlock guard)
 //
@@ -32,7 +30,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // Thread-safety attributes are a Clang extension; everywhere else the
 // macros vanish.  SWIG and other tools that choke on attributes get the
@@ -53,20 +50,12 @@
   DHTLB_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   DHTLB_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) \
   DHTLB_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) \
   DHTLB_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) \
   DHTLB_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  DHTLB_THREAD_ANNOTATION__(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) DHTLB_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) DHTLB_THREAD_ANNOTATION__(assert_capability(x))
 #define RETURN_CAPABILITY(x) DHTLB_THREAD_ANNOTATION__(lock_returned(x))
@@ -113,64 +102,11 @@ class SCOPED_CAPABILITY MutexLock {
   std::unique_lock<std::mutex> lock_;
 };
 
-/// std::shared_mutex as a capability: one writer or many readers.  The
-/// read side is what the planned parallel tick engine and RCU snapshot
-/// serving plane will lean on.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { m_.lock(); }
-  void unlock() RELEASE() { m_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return m_.try_lock(); }
-  void lock_shared() ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { m_.unlock_shared(); }
-  bool try_lock_shared() TRY_ACQUIRE_SHARED(true) {
-    return m_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex m_;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() RELEASE() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII exclusive (writer) lock over a SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~WriterLock() RELEASE() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
 }  // namespace dhtlb::support
 
 namespace dhtlb {
 // The primitives are used from every layer; lift them to the project
 // namespace so call sites read dhtlb::Mutex, not a support:: mouthful.
-using support::Mutex;        // NOLINT(misc-unused-using-decls)
-using support::MutexLock;    // NOLINT(misc-unused-using-decls)
-using support::ReaderLock;   // NOLINT(misc-unused-using-decls)
-using support::SharedMutex;  // NOLINT(misc-unused-using-decls)
-using support::WriterLock;   // NOLINT(misc-unused-using-decls)
+using support::Mutex;      // NOLINT(misc-unused-using-decls)
+using support::MutexLock;  // NOLINT(misc-unused-using-decls)
 }  // namespace dhtlb

@@ -105,7 +105,8 @@ TEST(Common, ShuffledAliveIsAPermutation) {
   Params p = tiny(50, 100);
   World w(p, rng);
   Rng shuffle_rng(5);
-  auto order = shuffled_alive(w, shuffle_rng);
+  std::vector<sim::NodeIndex> order;
+  shuffled_alive_into(w, shuffle_rng, order);
   auto sorted = order;
   std::sort(sorted.begin(), sorted.end());
   auto expected = w.alive_indices();

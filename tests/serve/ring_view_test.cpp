@@ -24,11 +24,9 @@ sim::Params small_params() {
 TEST(RingViewTest, FreezeMatchesWorldArcs) {
   support::Rng rng(7);
   sim::World world(small_params(), rng);
-  const RingView view = RingView::freeze(world, 3);
+  const RingView view = RingView::freeze(world);
 
-  EXPECT_EQ(view.tick(), 3u);
   EXPECT_EQ(view.size(), world.vnode_count());
-  EXPECT_FALSE(view.empty());
 
   std::size_t i = 0;
   world.for_each_arc([&](const sim::ArcView& arc) {
@@ -45,7 +43,7 @@ TEST(RingViewTest, CoverMatchesArcCoveringOnSevenSeeds) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u}) {
     support::Rng rng(seed);
     sim::World world(small_params(), rng);
-    const RingView view = RingView::freeze(world, 0);
+    const RingView view = RingView::freeze(world);
 
     support::Rng probe(support::mix_seed(seed, 0xC0FFEE));
     for (int k = 0; k < 500; ++k) {
@@ -60,7 +58,7 @@ TEST(RingViewTest, CoverMatchesArcCoveringOnSevenSeeds) {
     // past it belongs to the successor.
     for (std::size_t i = 0; i < view.size(); ++i) {
       EXPECT_EQ(view.cover(view.id_at(i)), i);
-      const std::size_t succ = view.next(i);
+      const std::size_t succ = (i + 1) % view.size();
       EXPECT_EQ(view.cover(view.id_at(i) + Uint160::pow2(0)), succ);
     }
   }
@@ -69,7 +67,7 @@ TEST(RingViewTest, CoverMatchesArcCoveringOnSevenSeeds) {
 TEST(RingViewTest, RouteReachesCoverFromEveryOrigin) {
   support::Rng rng(42);
   sim::World world(small_params(), rng);
-  const RingView view = RingView::freeze(world, 0);
+  const RingView view = RingView::freeze(world);
 
   support::Rng probe(99);
   for (int k = 0; k < 300; ++k) {
@@ -96,7 +94,7 @@ TEST(RingViewTest, RouteDifferentialAgainstSuccessorWalkOnSevenSeeds) {
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u, 77u}) {
     support::Rng rng(seed);
     sim::World world(small_params(), rng);
-    const RingView view = RingView::freeze(world, 0);
+    const RingView view = RingView::freeze(world);
 
     support::Rng probe(support::mix_seed(seed, 0xD1FF));
     for (int k = 0; k < 200; ++k) {
@@ -115,7 +113,7 @@ TEST(RingViewTest, RouteDifferentialAgainstSuccessorWalkOnSevenSeeds) {
 TEST(RingViewTest, SnapshotIsolationUnderChurn) {
   support::Rng rng(1234);
   sim::World world(small_params(), rng);
-  const RingView before = RingView::freeze(world, 1);
+  const RingView before = RingView::freeze(world);
   const std::size_t size_before = before.size();
   std::vector<Uint160> ids_before;
   for (std::size_t i = 0; i < before.size(); ++i) {
@@ -130,13 +128,13 @@ TEST(RingViewTest, SnapshotIsolationUnderChurn) {
   }
 
   // The frozen view is unaffected — reads keep answering from the old
-  // ring (RCU semantics: readers never see a half-updated ring).
+  // ring (snapshot semantics: readers never see a half-updated ring).
   ASSERT_EQ(before.size(), size_before);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before.id_at(i), ids_before[i]);
   }
   // And a fresh freeze sees the new ring.
-  const RingView after = RingView::freeze(world, 2);
+  const RingView after = RingView::freeze(world);
   EXPECT_EQ(after.size(), world.vnode_count());
 }
 

@@ -1,6 +1,6 @@
-// serve::Service: the full pipeline — view publication at tick
-// barriers, concurrent shard batches, deterministic folds — hammered
-// under churn.  The ConcurrentServeUnderChurn case is the TSan target
+// serve::Service: the full pipeline — view freezes at tick barriers,
+// concurrent shard batches, deterministic folds — hammered under
+// churn.  The ConcurrentServeUnderChurn case is the TSan target
 // (8 readers racing the engine thread through every published view);
 // the invariance cases pin the determinism contract: results are
 // bit-identical at any reader count and any engine thread count.
@@ -28,18 +28,22 @@ struct RunOutput {
   Report serve;
 };
 
-RunOutput run_serve(std::size_t engine_threads, std::size_t readers,
-                    std::uint64_t seed, bool latency = false) {
-  sim::Engine engine(churny_params(), seed,
-                     lb::make_strategy("random-injection"));
-  engine.set_threads(engine_threads);
+Config zipf_config(std::size_t readers, bool latency = false) {
   Config config;
   config.readers = readers;
   config.traffic = Traffic::kZipf;
   config.traffic_config.key_universe = 2000;
   config.lookups_per_tick = 800;
   config.measure_latency = latency;
-  Service service(config, seed);
+  return config;
+}
+
+RunOutput run_serve(std::size_t engine_threads, std::size_t readers,
+                    std::uint64_t seed, bool latency = false) {
+  sim::Engine engine(churny_params(), seed,
+                     lb::make_strategy("random-injection"));
+  engine.set_threads(engine_threads);
+  Service service(zipf_config(readers, latency), seed);
   service.attach(engine);
   RunOutput out;
   out.sim = engine.run();
@@ -65,27 +69,25 @@ void expect_reports_identical(const Report& a, const Report& b) {
   EXPECT_EQ(a.owner_hits_max_over_mean, b.owner_hits_max_over_mean);
   EXPECT_EQ(a.views.published, b.views.published);
   EXPECT_EQ(a.views.reclaimed, b.views.reclaimed);
-  EXPECT_EQ(a.views.retired_pending, b.views.retired_pending);
   EXPECT_EQ(a.views.retire_depth_max, b.views.retire_depth_max);
 }
 
 TEST(ServiceTest, ConcurrentServeUnderChurn) {
   // 8 readers hammering views while a churn-heavy, Sybil-spawning run
-  // republishes the ring every tick.  Run under the tsan preset (the
+  // refreezes the ring every tick.  Run under the tsan preset (the
   // tsan-serve-soak CI lane) this is the data-race probe for the whole
   // serve plane.
   const RunOutput out = run_serve(4, 8, 0xC0DE, /*latency=*/true);
   ASSERT_TRUE(out.sim.completed);
 
-  // One batch per published view: the pre-run view plus one per tick.
+  // One batch per frozen view: the pre-run view plus one per tick.
   EXPECT_EQ(out.serve.batches, out.sim.ticks + 1);
   EXPECT_EQ(out.serve.views.published, out.sim.ticks + 1);
   EXPECT_EQ(out.serve.lookups, out.serve.batches * 800);
 
-  // Steady-state epoch retirement: each publish retires the previous
-  // view after its batch released it — nothing accumulates.
+  // Each barrier releases the previous view before freezing the next:
+  // every view but the last is released, and only one is ever alive.
   EXPECT_EQ(out.serve.views.reclaimed, out.serve.views.published - 1);
-  EXPECT_EQ(out.serve.views.retired_pending, 0u);
   EXPECT_EQ(out.serve.views.retire_depth_max, 1u);
 
   // Perfect-finger routing on a ~600-vnode ring: log-ish hops.
@@ -160,6 +162,48 @@ TEST(ServiceTest, ShardQuotasCoverRaggedLookupCounts) {
   service.drain();
   const Report rep = service.report();
   EXPECT_EQ(rep.lookups, rep.batches * 1003);
+}
+
+TEST(ServiceTest, CustomHookMatchesAttachHook) {
+  // A caller that wraps the barrier (a traced benchmark rig, say)
+  // replaces the hook attach() installs with its own call to
+  // on_tick_barrier; the Report must not notice the difference.
+  const RunOutput attached = run_serve(2, 3, 31);
+
+  sim::Engine engine(churny_params(), 31,
+                     lb::make_strategy("random-injection"));
+  engine.set_threads(2);
+  Service service(zipf_config(3), 31);
+  service.attach(engine);
+  std::uint64_t barriers = 0;
+  engine.set_post_tick_hook([&](std::uint64_t tick) {
+    ++barriers;
+    service.on_tick_barrier(engine.world(), tick);
+  });
+  const sim::RunResult result = engine.run();
+  service.drain();
+  const Report custom = service.report();
+
+  ASSERT_EQ(result.ticks, attached.sim.ticks);
+  EXPECT_EQ(barriers, result.ticks);
+  expect_reports_identical(custom, attached.serve);
+}
+
+TEST(ServiceTest, DestructorDrainsInFlightBatch) {
+  // A Service destroyed mid-run with a batch in flight and no drain()
+  // must join its readers before the view and accumulators they use go
+  // away (the asan-ubsan and tsan presets turn a miss into a failure).
+  sim::Engine engine(churny_params(), 13,
+                     lb::make_strategy("random-injection"));
+  {
+    Service service(zipf_config(4), 13);
+    service.attach(engine);
+    ASSERT_TRUE(engine.step());
+    ASSERT_TRUE(engine.step());
+  }
+  // The engine runs on without the serving plane.
+  engine.set_post_tick_hook({});
+  EXPECT_TRUE(engine.run().completed);
 }
 
 }  // namespace

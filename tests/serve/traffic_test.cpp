@@ -60,10 +60,7 @@ TEST(TrafficTest, ZipfHeadDominates) {
 }
 
 TEST(TrafficTest, HotspotConcentratesInArc) {
-  TrafficConfig config;
-  config.hotspot_fraction = 0.9;
-  config.hotspot_arc = 0.015625;
-  const KeyStream stream(Traffic::kHotspot, config, 77);
+  const KeyStream stream(Traffic::kHotspot, TrafficConfig{}, 77);
 
   support::Rng rng(13);
   const int draws = 10000;
@@ -74,7 +71,8 @@ TEST(TrafficTest, HotspotConcentratesInArc) {
       ++inside;
     }
   }
-  // ~90% + the ~1.6% of background mass that lands in the arc anyway.
+  // The model's 90% + the ~1.6% of background mass (the arc is 1/64 of
+  // the ring) that lands in the arc anyway.
   EXPECT_GT(inside, draws * 85 / 100);
   EXPECT_LT(inside, draws * 95 / 100);
 }
