@@ -43,7 +43,7 @@ std::uint64_t fingerprint(const sim::Engine& engine) {
   const sim::Snapshot snap = engine.capture(engine.current_tick());
   std::uint64_t h = support::mix_seed(snap.remaining_tasks, snap.tick);
   h = support::mix_seed(h, snap.vnode_count);
-  h = support::mix_seed(h, snap.alive_count);
+  h = support::mix_seed(h, snap.workloads.size());
   for (const std::uint64_t load : snap.workloads) {
     h = support::mix_seed(h, load);
   }

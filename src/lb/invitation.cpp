@@ -16,10 +16,9 @@ void Invitation::decide(sim::World& world, support::Rng& rng,
 
     // Find the announcer's most-loaded vnode: that is the arc worth
     // splitting (purely local information).
-    const auto& vnode_ids = world.physical(idx).vnode_ids;
     std::optional<sim::ArcView> heavy;
-    for (const auto& vid : vnode_ids) {
-      const sim::ArcView arc = world.arc_of(vid);
+    for (const sim::Slot slot : world.physical(idx).vnodes) {
+      const sim::ArcView arc = world.arc_of(world.vnode_id(slot));
       if (!heavy || arc.task_count > heavy->task_count) heavy = arc;
     }
     if (!heavy || heavy->task_count == 0) continue;

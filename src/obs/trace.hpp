@@ -26,8 +26,8 @@
 // Clang -Wthread-safety (support/sync.hpp).  Concurrent producers get
 // whole events — never interleaved bytes — but within-tick emission
 // order is scheduling-dependent, so deterministic traces require the
-// per-tick serialization the engine already provides (and the planned
-// parallel tick engine will fold shard events at the tick barrier).
+// per-tick serialization the engine provides: the parallel tick engine
+// emits only from its sequential folds, never from a shard worker.
 #pragma once
 
 #include <cstdint>

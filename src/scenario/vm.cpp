@@ -146,10 +146,10 @@ void apply_sim_event(const Event& e, sim::Engine& engine, Rng& rng,
       break;
     }
     case Event::Kind::kSetChurn:
-      engine.set_churn_rate(e.value);
+      engine.world().set_churn_rate(e.value);
       break;
     case Event::Kind::kSetThreshold:
-      engine.set_sybil_threshold(e.count);
+      engine.world().set_sybil_threshold(e.count);
       break;
     case Event::Kind::kSetStrategy:
       engine.set_strategy(lb::make_strategy(e.text));

@@ -146,22 +146,24 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
       });
       return;
     }
-    const PhysicalNode& owner = world_.physical(arc.owner);
-    if (!owner.alive) {
+    if (!world_.alive(arc.owner)) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << (arc.is_sybil ? "sybil" : "primary") << " vnode "
            << id.to_short_hex() << " owned by dead node " << arc.owner;
       });
     }
+    const auto& slots = world_.physical(arc.owner).vnodes;
     const auto listed =
-        std::count(owner.vnode_ids.begin(), owner.vnode_ids.end(), id);
+        std::count_if(slots.begin(), slots.end(), [&](Slot slot) {
+          return world_.vnode_id(slot) == id;
+        });
     if (listed != 1) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << "vnode " << id.to_short_hex() << " listed " << listed
            << " times by its owner " << arc.owner << " (expected once)";
       });
     } else {
-      const bool is_primary = owner.vnode_ids.front() == id;
+      const bool is_primary = world_.vnode_id(slots.front()) == id;
       if (arc.is_sybil == is_primary) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
           os << "vnode " << id.to_short_hex() << " is_sybil flag disagrees"
@@ -172,17 +174,26 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
   });
   for (const NodeIndex idx : world_.alive_indices()) {
     const PhysicalNode& node = world_.physical(idx);
-    if (node.vnode_ids.empty()) {
+    if (node.vnodes.empty()) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << "alive node " << idx << " has no primary vnode";
       });
       continue;
     }
-    for (const Uint160& id : node.vnode_ids) {
+    for (const Slot slot : node.vnodes) {
+      // A listed slot must be the live slot of the id it holds: a freed
+      // slot would silently consume from the wrong (or no) arc.
+      const Uint160& id = world_.vnode_id(slot);
       if (!world_.ring_contains(id)) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
           os << "node " << idx << " lists vnode " << id.to_short_hex()
              << " that is not in the ring";
+        });
+      } else if (world_.covering_slot(id) != slot) {
+        fail(report, "sybil-ownership", [&](std::ostream& os) {
+          os << "node " << idx << " lists slot " << slot << " for vnode "
+             << id.to_short_hex() << ", whose live slot is "
+             << world_.covering_slot(id) << " (stale slot)";
         });
       } else if (world_.arc_of(id).owner != idx) {
         fail(report, "sybil-ownership", [&](std::ostream& os) {
@@ -201,10 +212,10 @@ void InvariantAuditor::check_sybil_ownership(AuditReport& report) const {
   }
   for (const NodeIndex idx : world_.waiting_indices()) {
     const PhysicalNode& node = world_.physical(idx);
-    if (!node.vnode_ids.empty() || node.workload != 0) {
+    if (!node.vnodes.empty() || node.workload != 0) {
       fail(report, "sybil-ownership", [&](std::ostream& os) {
         os << "waiting node " << idx << " still holds "
-           << node.vnode_ids.size() << " vnodes / " << node.workload
+           << node.vnodes.size() << " vnodes / " << node.workload
            << " tasks";
       });
     }
@@ -225,13 +236,6 @@ void InvariantAuditor::check_workload_cache(AuditReport& report) const {
            << per_owner[i];
       });
     }
-  }
-  // The consume_local() fast path walks cached arena slots; a stale entry
-  // would silently consume from the wrong arc.
-  if (!world_.vnode_cache_consistent()) {
-    fail(report, "workload-cache", [](std::ostream& os) {
-      os << "cached arena slots disagree with vnode_ids/ring";
-    });
   }
 }
 
@@ -262,10 +266,10 @@ void InvariantAuditor::check_membership(AuditReport& report) const {
           os << "node " << idx << " appears in both membership lists";
         });
       }
-      if (world_.physical(idx).alive != expect_alive) {
+      if (world_.alive(idx) != expect_alive) {
         fail(report, "membership", [&](std::ostream& os) {
           os << "node " << idx << " in " << label
-             << " list but alive flag says otherwise";
+             << " list but the alive-position index says otherwise";
         });
       }
     }

@@ -18,16 +18,18 @@
 // Parallel execution (see DESIGN.md "Parallel tick engine"): the alive
 // population is partitioned into kTickShards contiguous ring arcs by
 // primary vnode ID.  The embarrassingly parallel phases — churn
-// departure draws and task consumption — fan the shards across a
+// departure and join-count draws, streamed arrival draws with their
+// covering-vnode lookups, and task consumption — fan across a
 // support::ThreadPool; every cross-shard effect (the departures
-// themselves, joins landing anywhere on the ring, the global
-// remaining-task counter) is staged per shard and folded sequentially in
-// fixed shard order at a barrier.  Each (tick, phase, shard) triple owns
-// an Rng stream derived via support::stream_seed, so the simulation's
-// outputs are bit-identical at any DHTLB_THREADS setting — the shard
-// count is fixed, the fold order is fixed, and no draw ever depends on
-// which thread ran it.  Observation, snapshots, and the invariant audit
-// all run on the folded post-barrier world.
+// themselves, joins landing anywhere on the ring, arrivals entering
+// their stores, the global remaining-task counter) is staged per shard
+// and folded sequentially in fixed shard order at a barrier.  Each
+// (tick, phase, shard) triple owns an Rng stream derived via
+// support::stream_seed, so the simulation's outputs are bit-identical at
+// any DHTLB_THREADS setting — the shard count is fixed, the fold order
+// is fixed, and no draw ever depends on which thread ran it.
+// Observation, snapshots, and the invariant audit all run on the folded
+// post-barrier world.
 #pragma once
 
 #include <array>
@@ -85,12 +87,12 @@ class Engine {
   /// Timeline hook (the scenario engine's entry point): invoked at the
   /// start of every tick — before churn, decisions, and consumption —
   /// with the 1-based tick number about to run.  The hook may mutate the
-  /// world (joins, departures, task injection) and the engine's
-  /// parameters.  Its return value answers "must the engine keep
-  /// ticking even though no work remains?": returning true lets a
-  /// drained engine run idle ticks (churn still applies) toward
-  /// scheduled future events; returning false restores the default
-  /// stop-when-drained behavior.  The hook is not called once the
+  /// world (joins, departures, task injection, and its Params through
+  /// World::set_churn_rate / set_sybil_threshold).  Its return value
+  /// answers "must the engine keep ticking even though no work
+  /// remains?": returning true lets a drained engine run idle ticks
+  /// (churn still applies) toward scheduled future events; returning
+  /// false restores the default stop-when-drained behavior.  The hook is not called once the
   /// safety cap is reached.
   using TickHook = std::function<bool(std::uint64_t tick)>;
   void set_pre_tick_hook(TickHook hook) { pre_tick_hook_ = std::move(hook); }
@@ -112,14 +114,6 @@ class Engine {
   void set_strategy(std::unique_ptr<Strategy> strategy) {
     strategy_ = std::move(strategy);
   }
-
-  /// Re-parameterizes the per-tick churn probability mid-run, keeping
-  /// the world's Params copy in sync (scenario `set churn` event).
-  void set_churn_rate(double rate);
-
-  /// Re-parameterizes sybilThreshold mid-run (scenario `set threshold`
-  /// event); strategies observe it on their next decision tick.
-  void set_sybil_threshold(std::uint64_t threshold);
 
   /// Enables recording of tasks completed per tick (off by default: the
   /// series is O(runtime) memory).
@@ -192,10 +186,8 @@ class Engine {
   /// nodes) — all cross-shard effects wait for the sequential fold.
   void for_each_shard(const std::function<void(std::size_t)>& fn);
 
-  Params params_;
   std::uint64_t seed_;
-  support::Rng rng_;
-  World world_;
+  World world_;  // owns the run's one Params copy (world_.params())
   std::unique_ptr<Strategy> strategy_;
   std::uint64_t tick_ = 0;
   std::uint64_t completed_ = 0;

@@ -16,7 +16,6 @@ struct Snapshot {
   std::vector<std::uint64_t> workloads;  // one entry per alive physical node
   std::uint64_t remaining_tasks = 0;
   std::size_t vnode_count = 0;
-  std::size_t alive_count = 0;
 };
 
 }  // namespace dhtlb::sim

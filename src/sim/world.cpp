@@ -40,14 +40,10 @@ World::World(const Params& params, support::Rng& rng) : params_(params) {
     if (!params_.heterogeneous) return 1;
     return static_cast<unsigned>(rng.range(1, params_.max_sybils));
   };
-  for (std::size_t i = 0; i < physicals_.size(); ++i) {
-    physicals_[i].strength = roll_strength();
-    physicals_[i].alive = i < n;
-  }
+  for (PhysicalNode& node : physicals_) node.strength = roll_strength();
 
   alive_.reserve(n);
   waiting_.reserve(n);
-  vnode_cache_.resize(physicals_.size());
   alive_pos_.assign(physicals_.size(), kNotAlive);
   home_shard_.assign(physicals_.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -71,9 +67,8 @@ World::World(const Params& params, support::Rng& rng) : params_(params) {
     while (!placed.insert(id).second) {
       id = hashing::Sha1::hash_u64(rng());
     }
-    const Slot slot = ring_.bulk_append(id, idx, /*is_sybil=*/false);
-    physicals_[idx].vnode_ids.push_back(id);
-    vnode_cache_[idx].push_back(slot);
+    physicals_[idx].vnodes.push_back(
+        ring_.bulk_append(id, idx, /*is_sybil=*/false));
     home_shard_[idx] =
         static_cast<std::uint8_t>(support::arc_shard(id, kTickShards));
     initial_capacity_ += work_per_tick(idx);
@@ -245,8 +240,7 @@ std::uint64_t World::insert_vnode(NodeIndex owner, const Uint160& id,
   physicals_[ring_.owner(succ_slot)].workload -= acquired;
   physicals_[owner].workload += acquired;
 
-  physicals_[owner].vnode_ids.push_back(id);
-  vnode_cache_[owner].push_back(slot);
+  physicals_[owner].vnodes.push_back(slot);
   if (!is_sybil) {
     home_shard_[owner] =
         static_cast<std::uint8_t>(support::arc_shard(id, kTickShards));
@@ -274,12 +268,11 @@ void World::remove_vnode(const Uint160& id) {
 }
 
 void World::remove_sybils(NodeIndex owner) {
-  auto& ids = physicals_[owner].vnode_ids;
-  // vnode_ids[0] is the primary; everything after it is a Sybil.
-  while (ids.size() > 1) {
-    remove_vnode(ids.back());
-    ids.pop_back();
-    vnode_cache_[owner].pop_back();
+  auto& slots = physicals_[owner].vnodes;
+  // vnodes[0] is the primary; everything after it is a Sybil.
+  while (slots.size() > 1) {
+    remove_vnode(ring_.id_of(slots.back()));
+    slots.pop_back();
   }
 }
 
@@ -314,39 +307,29 @@ std::optional<std::uint64_t> World::move_vnode(const Uint160& old_id,
   remove_vnode(old_id);
 
   // insert_vnode pushed the relocated vnode to the back of the owner's
-  // bookkeeping; splice it into old_id's position so a moved primary
-  // stays at vnode_ids[0] (sybil_count/home_shard depend on that).
-  auto& ids = physicals_[owner].vnode_ids;
-  auto& cache = vnode_cache_[owner];
-  for (std::size_t j = 0; j + 1 < ids.size(); ++j) {
-    if (ids[j] == old_id) {
-      ids[j] = ids.back();
-      cache[j] = cache.back();
-      break;
-    }
-  }
-  ids.pop_back();
-  cache.pop_back();
+  // list; splice it into old_slot's position so a moved primary stays at
+  // vnodes[0] (sybil_count/primary_id/home_shard depend on that).
+  auto& slots = physicals_[owner].vnodes;
+  *std::find(slots.begin(), slots.end() - 1, old_slot) = slots.back();
+  slots.pop_back();
   return toward_pred ? shed : acquired;
 }
 
 bool World::depart(NodeIndex idx) {
+  DHTLB_CHECK(alive(idx), "depart: node " << idx << " is not alive");
   PhysicalNode& node = physicals_[idx];
-  DHTLB_CHECK(node.alive, "depart: node " << idx << " is not alive");
-  if (node.vnode_ids.size() >= ring_.size()) {
+  if (node.vnodes.size() >= ring_.size()) {
     return false;  // would empty the ring — nobody left to inherit tasks
   }
   // Remove Sybils first, then the primary; each merge hands tasks to the
   // ring successor exactly as the active-backup model prescribes.
-  while (!node.vnode_ids.empty()) {
-    remove_vnode(node.vnode_ids.back());
-    node.vnode_ids.pop_back();
-    vnode_cache_[idx].pop_back();
+  while (!node.vnodes.empty()) {
+    remove_vnode(ring_.id_of(node.vnodes.back()));
+    node.vnodes.pop_back();
   }
   DHTLB_ASSERT(node.workload == 0,
                "depart: node " << idx << " left the ring still holding "
                                << node.workload << " tasks");
-  node.alive = false;
   // Swap-pop through the position index: O(1) where std::erase's linear
   // scan made churn ticks quadratic in the alive population.
   const std::uint32_t pos = alive_pos_[idx];
@@ -364,8 +347,6 @@ std::optional<NodeIndex> World::join_from_pool(support::Rng& id_rng) {
   if (waiting_.empty()) return std::nullopt;
   const NodeIndex idx = waiting_.back();
   waiting_.pop_back();
-  PhysicalNode& node = physicals_[idx];
-  node.alive = true;
   alive_pos_[idx] = static_cast<std::uint32_t>(alive_.size());
   alive_.push_back(idx);
   insert_vnode(idx, fresh_ring_id(id_rng), /*is_sybil=*/false);
@@ -377,13 +358,11 @@ std::uint64_t World::consume_local(NodeIndex idx, std::uint64_t budget,
   PhysicalNode& node = physicals_[idx];
   std::uint64_t consumed = 0;
   while (consumed < budget && node.workload > 0) {
-    // Work on the most-loaded vnode first; within a vnode, task order is
-    // immaterial (uniform random pick, see TaskStore::consume_random).
-    // The cached slots mirror vnode_ids in order, so the scan picks
-    // the same vnode (including on ties) as a ring lookup per id would,
-    // without the O(log ring) search per vnode.
+    // Work on the most-loaded vnode first (the first such on ties);
+    // within a vnode, task order is immaterial (uniform random pick, see
+    // TaskStore::consume_random).
     TaskStore* busiest = nullptr;
-    for (const Slot slot : vnode_cache_[idx]) {
+    for (const Slot slot : node.vnodes) {
       TaskStore& tasks = ring_.tasks(slot);
       if (busiest == nullptr || tasks.size() > busiest->size()) {
         busiest = &tasks;
@@ -439,21 +418,6 @@ bool World::check_invariants() const {
   return InvariantAuditor(*this).run().ok();
 }
 
-bool World::vnode_cache_consistent() const {
-  if (vnode_cache_.size() != physicals_.size()) return false;
-  for (std::size_t i = 0; i < physicals_.size(); ++i) {
-    const auto& ids = physicals_[i].vnode_ids;
-    const auto& cache = vnode_cache_[i];
-    if (cache.size() != ids.size()) return false;
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      if (!ring_.contains(ids[j])) return false;
-      if (ring_.slot_at(ring_.find(ids[j])) != cache[j]) return false;
-      if (ring_.id_of(cache[j]) != ids[j]) return false;
-    }
-  }
-  return true;
-}
-
 bool World::alive_index_consistent() const {
   if (alive_pos_.size() != physicals_.size() ||
       home_shard_.size() != physicals_.size()) {
@@ -462,9 +426,8 @@ bool World::alive_index_consistent() const {
   for (std::size_t pos = 0; pos < alive_.size(); ++pos) {
     const NodeIndex idx = alive_[pos];
     if (alive_pos_[idx] != pos) return false;
-    const auto& ids = physicals_[idx].vnode_ids;
-    if (ids.empty()) return false;
-    if (home_shard_[idx] != support::arc_shard(ids.front(), kTickShards)) {
+    if (physicals_[idx].vnodes.empty() ||
+        home_shard_[idx] != support::arc_shard(primary_id(idx), kTickShards)) {
       return false;
     }
   }

@@ -16,8 +16,8 @@
 // (id, slot) index over a stable slot arena — rather than a
 // std::map<Uint160, VirtualNode>, so 100k..1M-vnode worlds fit in flat
 // arrays instead of a pointer-chased tree.  Per-vnode payloads are
-// addressed by stable Slot handles; the per-physical-node vnode cache
-// stores those handles where it used to store map value pointers.
+// addressed by stable Slot handles; a physical node lists its vnodes as
+// those handles and reads their ids back through the arena.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +49,9 @@ inline constexpr std::size_t kTickShards = 16;
 
 /// A machine participating (or waiting to participate) in the network.
 struct PhysicalNode {
-  unsigned strength = 1;  // het: U{1..maxSybils}; hom: 1
-  bool alive = false;
-  std::vector<Uint160> vnode_ids;  // [0] = primary; rest are Sybils
-  std::uint64_t workload = 0;      // cached: Σ tasks over vnode_ids
+  unsigned strength = 1;       // het: U{1..maxSybils}; hom: 1
+  std::vector<Slot> vnodes;    // arena slots: [0] = primary; rest Sybils
+  std::uint64_t workload = 0;  // cached: Σ tasks over vnodes
 };
 
 /// Local view of one vnode's ownership arc — what a node can learn about
@@ -151,6 +150,20 @@ class World {
   }
   std::size_t physical_count() const { return physicals_.size(); }
 
+  /// Whether `idx` is in the ring (as opposed to the waiting pool).
+  bool alive(NodeIndex idx) const { return alive_pos_[idx] != kNotAlive; }
+
+  /// Id of the live vnode at arena slot `slot` (see PhysicalNode::vnodes).
+  const Uint160& vnode_id(Slot slot) const { return ring_.id_of(slot); }
+
+  /// Id of an alive node's primary vnode.
+  const Uint160& primary_id(NodeIndex idx) const {
+    DHTLB_ASSERT(!physicals_[idx].vnodes.empty(),
+                 "primary_id: node " << idx << " holds no vnodes"
+                                     << " (waiting, not in the ring)");
+    return ring_.id_of(physicals_[idx].vnodes.front());
+  }
+
   /// Every vnode ID in the ring, in clockwise (ascending) order.  For
   /// the invariant auditor, snapshots and tests — strategies must not
   /// use it (global knowledge).
@@ -174,10 +187,10 @@ class World {
     return physicals_[idx].workload;
   }
   std::size_t sybil_count(NodeIndex idx) const {
-    DHTLB_ASSERT(!physicals_[idx].vnode_ids.empty(),
+    DHTLB_ASSERT(!physicals_[idx].vnodes.empty(),
                  "sybil_count: node " << idx << " holds no vnodes"
                                       << " (waiting, not in the ring)");
-    return physicals_[idx].vnode_ids.size() - 1;
+    return physicals_[idx].vnodes.size() - 1;
   }
 
   /// Sum of work_per_tick over the initially alive population — the
@@ -324,7 +337,7 @@ class World {
   // --- mutation: scenario re-parameterization -----------------------------
 
   /// Changes the per-tick churn probability mid-run (must stay in
-  /// [0, 1]).  The engine mirrors this into its own Params copy.
+  /// [0, 1]); the engine reads it through params() on its next tick.
   void set_churn_rate(double rate);
 
   /// Changes sybilThreshold mid-run; strategies read it through params()
@@ -336,11 +349,6 @@ class World {
   /// audit builds; prefer InvariantAuditor directly when the failure
   /// details matter.
   bool check_invariants() const;
-
-  /// True iff the per-physical-node cached arena slots agree with
-  /// vnode_ids and the ring (the consume_local() fast path relies on them).
-  /// O(ring log ring); for the auditor and tests.
-  bool vnode_cache_consistent() const;
 
   /// True iff the alive-position index (the O(1) swap-pop depart
   /// bookkeeping) and the cached home shards agree with alive_ and the
@@ -354,8 +362,8 @@ class World {
 
  private:
   // Test-only: lets auditor tests seed deliberate corruptions (orphaned
-  // keys, duplicated arcs, dangling Sybil owners) that the public API
-  // makes impossible by construction.
+  // keys, duplicated arcs, dangling Sybil owners, stale vnode slots) that
+  // the public API makes impossible by construction.
   friend struct testing::WorldCorruptor;
 
   /// Builds the ArcView of the vnode a cursor points at.
@@ -376,20 +384,17 @@ class World {
 
   Params params_;
   FlatRing ring_;
+  // FlatRing slots stay stable across other vnodes' insert/erase (the
+  // arena recycles but never moves live slots), so PhysicalNode::vnodes
+  // reaches a node's TaskStores without an O(log ring) search per vnode.
   std::vector<PhysicalNode> physicals_;
-  // Cached ring slot for each entry of physicals_[i].vnode_ids, same
-  // order.  FlatRing slots stay stable across other vnodes'
-  // insert/erase (the arena recycles but never moves live slots), so
-  // consume_local() can reach a node's TaskStores without an O(log ring)
-  // search per vnode per tick.  Maintained at every vnode_ids mutation
-  // site; audited by vnode_cache_consistent().
-  std::vector<std::vector<Slot>> vnode_cache_;
   std::vector<NodeIndex> alive_;
   std::vector<NodeIndex> waiting_;
-  // alive_pos_[idx] = position of idx within alive_, or kNotAlive.  Lets
-  // depart() swap-pop in O(1) instead of std::erase's O(alive) scan —
-  // the difference between O(alive) and O(alive^2 * churn) per tick at
-  // 1M vnodes.  Audited by alive_index_consistent().
+  // alive_pos_[idx] = position of idx within alive_, or kNotAlive — the
+  // one record of aliveness.  Lets depart() swap-pop in O(1) instead of
+  // std::erase's O(alive) scan — the difference between O(alive) and
+  // O(alive^2 * churn) per tick at 1M vnodes.  Audited by
+  // alive_index_consistent().
   static constexpr std::uint32_t kNotAlive = 0xFFFFFFFFu;
   static_assert(2 * kMaxInitialNodes - 1 < kNotAlive,
                 "Params::validate must keep every NodeIndex below kNotAlive");

@@ -77,6 +77,17 @@ TEST(InvariantAuditorTest, DetectsDuplicatedArc) {
   EXPECT_TRUE(failing_checks(world).contains("sybil-ownership"));
 }
 
+TEST(InvariantAuditorTest, DetectsStaleVnodeSlot) {
+  // consume_local walks a node's listed slots directly, so a listed slot
+  // that is no longer its vnode's live slot would silently drain the
+  // wrong (or a dead) task store.
+  support::Rng rng(47);
+  World world(small_params(), rng);
+  ASSERT_TRUE(WorldCorruptor::stale_vnode_slot(world, rng));
+  EXPECT_FALSE(world.check_invariants());
+  EXPECT_TRUE(failing_checks(world).contains("sybil-ownership"));
+}
+
 TEST(InvariantAuditorTest, DetectsDanglingSybilOwner) {
   support::Rng rng(19);
   World world(small_params(), rng);

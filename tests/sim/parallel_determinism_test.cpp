@@ -79,7 +79,6 @@ void expect_identical(const RunResult& a, const RunResult& b,
     EXPECT_EQ(sa.tick, sb.tick);
     EXPECT_EQ(sa.remaining_tasks, sb.remaining_tasks);
     EXPECT_EQ(sa.vnode_count, sb.vnode_count);
-    EXPECT_EQ(sa.alive_count, sb.alive_count);
     // Bit-identical per-node workloads in identical (alive) order.
     EXPECT_EQ(sa.workloads, sb.workloads) << "snapshot at tick " << sa.tick;
   }

@@ -41,15 +41,42 @@ struct WorldCorruptor {
     return true;
   }
 
-  /// Appends a vnode ID already owned by one physical node to another
-  /// physical node's vnode list — two nodes claiming the same arc.
-  /// Target check: sybil-ownership.
+  /// Appends the slot of a vnode already owned by one physical node to
+  /// another physical node's vnode list — two nodes claiming the same
+  /// arc.  Target check: sybil-ownership.
   static bool duplicate_arc(World& world) {
     if (world.alive_.size() < 2) return false;
     const NodeIndex a = world.alive_[0];
     const NodeIndex b = world.alive_[1];
-    world.physicals_[b].vnode_ids.push_back(
-        world.physicals_[a].vnode_ids.front());
+    world.physicals_[b].vnodes.push_back(world.physicals_[a].vnodes.front());
+    return true;
+  }
+
+  /// Points an alive node's Sybil entry at an arena slot freed by an
+  /// earlier remove_sybils, through the public API up to the final
+  /// overwrite: two Sybils at id1/id2 are created and retired, a Sybil
+  /// is re-created at id2 (recycling one of the two freed slots), and its
+  /// list entry is redirected to the other, still free slot.  The arena
+  /// keeps a freed slot's last id, so when the dead slot is id2's old one
+  /// the entry still names a vnode in the ring and only the slot-identity
+  /// check sees it.  Target check: sybil-ownership.
+  static bool stale_vnode_slot(World& world, support::Rng& rng) {
+    if (world.alive_.empty()) return false;
+    const NodeIndex creator = world.alive_[0];
+    auto fresh_sybil = [&]() {
+      for (;;) {
+        const Uint160 id = hashing::Sha1::hash_u64(rng());
+        if (world.create_sybil(creator, id)) return id;
+      }
+    };
+    fresh_sybil();
+    const Uint160 id2 = fresh_sybil();
+    auto& slots = world.physicals_[creator].vnodes;
+    const Slot freed_a = slots[slots.size() - 2];
+    const Slot freed_b = slots.back();
+    world.remove_sybils(creator);
+    if (!world.create_sybil(creator, id2)) return false;
+    slots.back() = slots.back() == freed_a ? freed_b : freed_a;
     return true;
   }
 

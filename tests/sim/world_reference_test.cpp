@@ -71,7 +71,8 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
   // Mirror the exact initial state (vnodes + real keys).
   ReferenceModel ref;
   for (const NodeIndex idx : world.alive_indices()) {
-    for (const auto& vid : world.physical(idx).vnode_ids) {
+    for (const Slot slot : world.physical(idx).vnodes) {
+      const Uint160& vid = world.vnode_id(slot);
       ref.add_vnode(vid, idx);
       for (const auto& key : world.vnode_keys(vid)) ref.add_key(key);
     }
@@ -113,16 +114,19 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
         break;
       }
       case 1: {  // retire all sybils
-        const auto& ids = world.physical(idx).vnode_ids;
-        for (std::size_t i = ids.size(); i-- > 1;) {
-          ref.remove_vnode(ids[i]);
+        const auto& slots = world.physical(idx).vnodes;
+        for (std::size_t i = slots.size(); i-- > 1;) {
+          ref.remove_vnode(world.vnode_id(slots[i]));
         }
         world.remove_sybils(idx);
         break;
       }
       case 2: {  // departure (all vnodes go)
         if (world.alive_count() <= 1) break;
-        const auto ids = world.physical(idx).vnode_ids;  // copy
+        std::vector<Uint160> ids;  // read before depart frees the slots
+        for (const Slot slot : world.physical(idx).vnodes) {
+          ids.push_back(world.vnode_id(slot));
+        }
         if (world.depart(idx)) {
           for (const auto& vid : ids) ref.remove_vnode(vid);
         }
@@ -132,8 +136,7 @@ TEST_P(WorldReferenceTest, RandomMembershipSequenceMatchesReference) {
         const std::size_t before = world.vnode_count();
         const auto joined = world.join_from_pool(world_rng);
         if (joined && world.vnode_count() == before + 1) {
-          ref.add_vnode(world.physical(*joined).vnode_ids.front(),
-                        *joined);
+          ref.add_vnode(world.primary_id(*joined), *joined);
         }
         break;
       }

@@ -115,7 +115,7 @@ TEST(World, CreateSybilTransfersExactArcKeys) {
   // Split some victim's arc at its midpoint; the beneficiary must gain
   // exactly what the victim loses.
   const NodeIndex victim = w.alive_indices()[1];
-  const Uint160 victim_vnode = w.physical(victim).vnode_ids[0];
+  const Uint160 victim_vnode = w.primary_id(victim);
   const ArcView arc = w.arc_of(victim_vnode);
   const Uint160 mid = support::arc_midpoint(arc.pred, arc.id);
   const std::uint64_t victim_before = w.workload(victim);
@@ -134,7 +134,7 @@ TEST(World, CreateSybilOnTakenIdFails) {
   Rng rng(9);
   World w(small_params(5, 100), rng);
   const NodeIndex idx = w.alive_indices()[0];
-  const Uint160 existing = w.physical(w.alive_indices()[1]).vnode_ids[0];
+  const Uint160 existing = w.primary_id(w.alive_indices()[1]);
   EXPECT_FALSE(w.create_sybil(idx, existing).has_value());
   EXPECT_EQ(w.sybil_count(idx), 0u);
 }
@@ -161,7 +161,7 @@ TEST(World, DepartMovesTasksToSuccessorAndNodeToPool) {
   const std::uint64_t total = w.remaining_tasks();
   const NodeIndex idx = w.alive_indices()[3];
   EXPECT_TRUE(w.depart(idx));
-  EXPECT_FALSE(w.physical(idx).alive);
+  EXPECT_FALSE(w.alive(idx));
   EXPECT_EQ(w.alive_count(), 9u);
   EXPECT_EQ(w.waiting_count(), 11u);
   EXPECT_EQ(w.remaining_tasks(), total);
@@ -194,7 +194,7 @@ TEST(World, JoinFromPoolAcquiresArcWork) {
   const std::uint64_t total = w.remaining_tasks();
   const auto joined = w.join_from_pool(rng);
   ASSERT_TRUE(joined.has_value());
-  EXPECT_TRUE(w.physical(*joined).alive);
+  EXPECT_TRUE(w.alive(*joined));
   EXPECT_EQ(w.alive_count(), 21u);
   EXPECT_EQ(w.waiting_count(), 19u);
   EXPECT_EQ(w.remaining_tasks(), total);
@@ -211,7 +211,7 @@ TEST(World, JoinFromEmptyPoolFails) {
 TEST(World, SuccessorsOfWalkClockwise) {
   Rng rng(16);
   World w(small_params(10, 100), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   const auto succs = w.successors_of(start, 4);
   ASSERT_EQ(succs.size(), 4u);
   // Each successor's predecessor chain leads back: succ[i]'s arc starts
@@ -226,7 +226,7 @@ TEST(World, SuccessorsOfWalkClockwise) {
 TEST(World, SuccessorsStopAtFullLoop) {
   Rng rng(17);
   World w(small_params(3, 10), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   const auto succs = w.successors_of(start, 10);
   EXPECT_EQ(succs.size(), 2u) << "only 2 other vnodes exist";
 }
@@ -234,7 +234,7 @@ TEST(World, SuccessorsStopAtFullLoop) {
 TEST(World, PredecessorsOfWalkCounterClockwise) {
   Rng rng(18);
   World w(small_params(10, 100), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   const auto preds = w.predecessors_of(start, 3);
   ASSERT_EQ(preds.size(), 3u);
   EXPECT_EQ(w.arc_of(start).pred, preds[0]);
@@ -248,7 +248,7 @@ TEST(World, ArcWalksMatchVectorApis) {
   Rng rng(42);
   World w(small_params(12, 300), rng);
   for (const NodeIndex idx : w.alive_indices()) {
-    const Uint160 start = w.physical(idx).vnode_ids[0];
+    const Uint160 start = w.primary_id(idx);
     for (const std::size_t k : {0u, 1u, 3u, 50u}) {
       const auto succ_vec = w.successors_of(start, k);
       std::vector<Uint160> succ_walk;
@@ -271,7 +271,7 @@ TEST(World, ArcWalkYieldsFullArcViews) {
   // Each walked element is a complete ArcView, identical to arc_of.
   Rng rng(43);
   World w(small_params(8, 200), rng);
-  const Uint160 start = w.physical(w.alive_indices()[0]).vnode_ids[0];
+  const Uint160 start = w.primary_id(w.alive_indices()[0]);
   for (const ArcView& arc : w.successor_arcs(start, 5)) {
     const ArcView direct = w.arc_of(arc.id);
     EXPECT_EQ(arc.pred, direct.pred);
@@ -285,13 +285,51 @@ TEST(World, ArcViewReportsOwnerAndCount) {
   Rng rng(19);
   World w(small_params(5, 500), rng);
   for (const NodeIndex idx : w.alive_indices()) {
-    const Uint160 vid = w.physical(idx).vnode_ids[0];
+    const Uint160 vid = w.primary_id(idx);
     const ArcView arc = w.arc_of(vid);
     EXPECT_EQ(arc.owner, idx);
     EXPECT_FALSE(arc.is_sybil);
     EXPECT_EQ(arc.task_count, w.workload(idx))
         << "single-vnode owner: arc count == workload";
   }
+}
+
+TEST(WorldTest, MovedPrimaryStaysFirst) {
+  // move_vnode re-inserts the moved vnode and splices it into the old
+  // one's place in the owner's list, so a moved primary stays first
+  // (primary_id, sybil_count, home_shard) and the Sybils keep their order.
+  Rng rng(31);
+  World w(small_params(20, 2000), rng);
+  const NodeIndex idx = w.alive_indices()[0];
+  for (int placed = 0; placed < 3;) {
+    if (w.create_sybil(idx, rng.uniform_u160())) ++placed;
+  }
+  auto sybil_ids = [&] {
+    const auto& slots = w.physical(idx).vnodes;
+    std::vector<Uint160> ids;
+    for (std::size_t j = 1; j < slots.size(); ++j) {
+      ids.push_back(w.vnode_id(slots[j]));
+    }
+    return ids;
+  };
+  const std::vector<Uint160> sybils = sybil_ids();
+  ASSERT_EQ(sybils.size(), 3u);
+
+  auto move_primary = [&](bool clockwise) {
+    const Uint160 old_id = w.primary_id(idx);
+    const ArcView arc = w.arc_of(old_id);
+    Uint160 succ;
+    for (const ArcView& next : w.successor_arcs(old_id, 1)) succ = next.id;
+    const Uint160 new_id = clockwise ? support::arc_midpoint(old_id, succ)
+                                     : support::arc_midpoint(arc.pred, old_id);
+    ASSERT_TRUE(w.move_vnode(old_id, new_id).has_value());
+    EXPECT_EQ(w.primary_id(idx), new_id);
+    EXPECT_EQ(sybil_ids(), sybils);
+    EXPECT_EQ(w.home_shard(idx), support::arc_shard(new_id, kTickShards));
+    EXPECT_TRUE(w.check_invariants());
+  };
+  move_primary(/*clockwise=*/true);
+  move_primary(/*clockwise=*/false);
 }
 
 TEST(World, RandomOperationSequencePreservesInvariants) {
